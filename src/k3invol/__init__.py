@@ -8,8 +8,6 @@ auxiliary moduli space), :mod:`k3invol.lattice` (Eichler transvections on
 the period lattice), :mod:`k3invol.cli` (command line).
 """
 
-from .kernel import BACKEND
-
 __version__ = "0.1.0"
 
-__all__ = ["BACKEND", "__version__"]
+__all__ = ["__version__"]

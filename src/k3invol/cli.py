@@ -19,7 +19,7 @@ import math
 import os
 import sys
 
-from . import hilbcone, kernel, lattice, mukai, pell, sigma
+from . import hilbcone, lattice, mukai, pell, sigma
 
 VERIFIED_SCAN_MAX = 200  # chamber counts at or below this n are the established baseline
 
@@ -323,8 +323,12 @@ def cmd_strata(args) -> int:
             )
     if args.verify:
         for r in rows:
-            assert r.moduli_dim == 2 * args.n - 2 * (r.k + 1) * (r.k + 2)
-            assert r.dim_Jk == r.moduli_dim + r.fiber_dim
+            if r.moduli_dim != 2 * args.n - 2 * (r.k + 1) * (r.k + 2):
+                print(f"verify: FAIL moduli dimension at k={r.k}: {r}", file=sys.stderr)
+                return EXIT_ERROR
+            if r.dim_Jk != r.moduli_dim + r.fiber_dim:
+                print(f"verify: FAIL dim J_k at k={r.k}: {r}", file=sys.stderr)
+                return EXIT_ERROR
         print(f"verify: {2 * len(rows)} checks passed")
     return EXIT_OK
 
@@ -336,6 +340,9 @@ def cmd_lemmas(args) -> int:
     ctx = mukai.MukaiContext(args.n)
     n = args.n
     bound = args.bound
+    if bound < 0:
+        print(f"lemmas: --bound must be at least 0, got {bound}", file=sys.stderr)
+        return EXIT_ERROR
     surprises = []
     spherical_rows = []
     for i in range(-1, mukai.r_max(ctx) + 1):
@@ -590,15 +597,7 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, required=True)
     _add_common(p)
     p.set_defaults(func=cmd_formulas)
-
-    p = sub.add_parser("backend", help="report the active scan kernel backend")
-    p.set_defaults(func=_cmd_backend)
     return parser
-
-
-def _cmd_backend(args) -> int:
-    print(kernel.BACKEND)
-    return EXIT_OK
 
 
 def main(argv=None) -> int:

@@ -6,9 +6,12 @@ birational involution acts by minus the reflection in H_n - 2delta and
 swaps the two boundary rays H_n and (2t-1)H_n - 4t*delta of the movable
 cone.  Interior walls are cut by rays X*H_n - 2tY*delta coming from
 congruence-restricted Pell solutions, one family per case (rho, alpha);
-the middle wall is always (rho, alpha) = (-1, 1) with (X, Y) = (t, 1),
-of slope Y/X = 1/t.  C_n - 1 counts the wall rays of slope strictly
-below 1/t, so C_n = 1 means the nef cone reaches the middle.
+:mod:`k3invol.kernel` finds them as the Mukai classes a = (k, -Y, s) with
+a^2 = 2 rho and |a.v| = alpha, enumerated below the middle and mirrored
+above it by the involution.  The middle wall is always (rho, alpha) =
+(-1, 1) with (X, Y) = (t, 1), of slope Y/X = 1/t.  C_n - 1 counts the
+wall rays of slope strictly below 1/t, so C_n = 1 means the nef cone
+reaches the middle.
 
 Two congruence modes exist throughout:
 
@@ -159,10 +162,11 @@ def middle_wall(n: int) -> WallRecord:
 def enumerate_walls(n: int, full_congruence: bool = True) -> list[WallRecord]:
     """All distinct interior wall records, sorted by slope.
 
-    Solutions come from the scan kernel, one bounded Pell problem per
-    case; records defining the same ray are deduplicated on the primitive
-    (X, Y).  The middle wall is inserted unconditionally (its existence is
-    unconditional, and the literal congruence mode cannot see it).
+    Solutions come from the kernel's enumeration of wall classes over
+    all cases at once; records defining the same ray are deduplicated on
+    the primitive (X, Y).  The middle wall is inserted unconditionally
+    (its existence is unconditional, and the literal congruence mode
+    cannot see it).
     """
     if n < 2:
         raise ValueError("n must be at least 2")
@@ -220,7 +224,7 @@ def scan_chambers(
     if jobs == 1 or len(ns) == 1:
         pairs = [_chamber_worker((n, full_congruence)) for n in ns]
     else:
-        # Submit the large n first: the per-n cost grows like n^3, so this
+        # Submit the large n first: the per-n cost grows with n, so this
         # keeps the pool balanced.
         work = sorted(((n, full_congruence) for n in ns), reverse=True)
         with ProcessPoolExecutor(max_workers=jobs) as pool:

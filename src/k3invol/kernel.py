@@ -1,62 +1,135 @@
-"""Backend selection for the wall-scan kernel.
+"""Wall-scan kernel: the interior wall solutions of every case of the criterion.
 
-The compiled extension is preferred when importable and when the case
-values provably fit in signed 64-bit arithmetic; otherwise the pure
-kernel (numpy-vectorized where exact, big-int elsewhere) is used.  Set
-K3INVOL_BACKEND=python or =compiled to force a backend; forcing
-"compiled" when the extension is missing raises at import time.
+For a case (rho, alpha) the walls of the movable cone are the solutions of
+
+    X^2 - D Y^2 = A,   D = 4t(n-1),   A = alpha^2 - 4 rho (n-1),   t = 4n-3,
+
+with X == +-alpha (mod 2(n-1)), whose ray X*H_n - 2tY*delta lies strictly
+inside the movable cone, i.e. 1 <= Y and Y^2 < 4A (this uses
+(2t-1)^2 - 16t(n-1) = 1).
+
+Each solution is a Mukai class a = (k, -Y, s) with a^2 = 2 rho and
+|a.v| = alpha, v = (1, 0, -(n-1)):
+
+    k*s = tY^2 - rho,   X = (n-1)k + s,   alpha = +-(s - (n-1)k),
+
+and conversely every such class solves its case in the right congruence
+class.  Because t^2 - 4t(n-1) = t, the ray is on or below the middle wall
+(X >= tY) exactly when A >= tY^2, so Y^2 <= (n-1)(n+3)/t there, about n/4.
+For fixed (Y, k, sign) the conditions rho >= -1, 1 <= alpha <= n-1 and
+X >= tY are linear in s and cut s to one interval; the rest of the case
+list, rho <= floor((n-1)/4) and alpha >= 4 rho + 1, follows from A > 0.
+Only O(1) values of k fit each Y, so the lower half costs O(sqrt(n))
+interval computations plus one step per solution.
+
+The upper half is its mirror: the involution (X, Y) -> ((2t-1)X -
+8t(n-1)Y, 2X - (2t-1)Y) preserves A and X mod 2(n-1) (2t-1 == 1), and
+swaps the solutions strictly below the middle with those strictly above.
+The appendix mode keeps the solutions whose X literally equals alpha or
+2(n-1) - alpha, in its shorter case list.
+
+Ordering contract: cases run A (rho = -1), B (rho = 0), then C (rho >= 1),
+alpha ascending inside each and rho ascending in C, which is ascending
+(rho, alpha); per case, solutions are listed by increasing Y.
 """
 
 from __future__ import annotations
 
-import os
-
-from . import _scan_py
-
-try:
-    from . import _speedups as _compiled
-except ImportError:
-    _compiled = None
-
-_FORCED = os.environ.get("K3INVOL_BACKEND", "").strip().lower()
-if _FORCED in ("python", "py"):
-    _compiled = None
-elif _FORCED in ("compiled", "c") and _compiled is None:
-    raise ImportError(
-        "K3INVOL_BACKEND=compiled but the k3invol._speedups extension is not built"
-    )
-elif _FORCED not in ("", "python", "py", "compiled", "c"):
-    raise ValueError(f"unrecognized K3INVOL_BACKEND={_FORCED!r}")
-
-BACKEND = "compiled" if _compiled is not None else "python"
-
-_I64_BUDGET = 2**62
+import math
 
 
-def fits_compiled(n: int) -> bool:
-    """Whether every intermediate of the scan at this n fits in int64.
+def case_pairs(n: int, appendix_cases: bool):
+    """Yield the (rho, alpha) case list for n.
 
-    The largest value is A + D*ymax^2 < A*(16t(n-1) + 1) with
-    A <= (n-1)^2 + 4(n-1); true for all n up to ~16000.
+    With ``appendix_cases`` the C-family replicates the historical
+    program's ``range(1, int((n-1)/4))``, which always omits the top
+    value floor((n-1)/4); the default includes it.
     """
-    a_max = (n - 1) * (n - 1) + 4 * (n - 1)
-    return a_max * (16 * (4 * n - 3) * (n - 1) + 1) < _I64_BUDGET
+    for alpha in range(1, n):
+        yield -1, alpha
+    for alpha in range(3, n):
+        yield 0, alpha
+    rho_top = (n - 1) // 4
+    if appendix_cases:
+        rho_top -= 1
+    for rho in range(1, rho_top + 1):
+        for alpha in range(4 * rho + 1, n):
+            yield rho, alpha
 
 
-def case_interior_solutions(
-    n: int, rho: int, alpha: int, full_congruence: bool
-) -> list[tuple[int, int]]:
-    if _compiled is not None and fits_compiled(n):
-        return _compiled.case_interior_solutions(n, rho, alpha, full_congruence)
-    return _scan_py.case_interior_solutions(n, rho, alpha, full_congruence)
+def _lower_half(n: int, t: int) -> list[tuple[int, int, int, int]]:
+    """(rho, alpha, X, Y) of every case of the full case list with X >= tY,
+    Y^2 < 4A and X == +-alpha (mod 2(n-1)), for X^2 - 4t(n-1)Y^2 = A.
+
+    The movable cone needs t = 4n-3; any t >= n-1 gives a generalized
+    problem with the same definitions.  Unordered, without duplicates.
+    """
+    m = n - 1
+    d = 4 * t * m
+    a_max = m * (m + 4)  # rho = -1, alpha = n-1
+    c = t - 4 * m  # X >= tY  <=>  A >= t*c*Y^2
+    out = []
+    y = 1
+    while y * y < 4 * a_max and (c <= 0 or t * c * y * y <= a_max):
+        ty2 = t * y * y
+        # X >= tY, and Y^2 < 4A  <=>  4X^2 > (4D+1)Y^2 (implied when t = 4n-3)
+        x_lo = max(t * y, math.isqrt((4 * d + 1) * y * y) // 2 + 1)
+        x_hi = math.isqrt(a_max + d * y * y)
+        # X = 2(n-1)k + sign*alpha with 1 <= alpha <= n-1; k >= 1 because
+        # k*s = tY^2 - rho > 0 and X = (n-1)k + s > 0
+        for k in range(max(1, -(-(x_lo - m) // (2 * m))), (x_hi + m) // (2 * m) + 1):
+            for sign in (1, -1):
+                # alpha = sign*(s - (n-1)k) in [1, n-1]; alpha = n-1 comes
+                # from both signs with the same tuple, so only sign = +1 keeps it
+                if sign == 1:
+                    lo, hi = m * k + 1, m * k + m
+                else:
+                    lo, hi = m * k - m + 1, m * k - 1
+                # X = (n-1)k + s >= x_lo, and rho = tY^2 - k*s >= -1
+                lo = max(lo, x_lo - m * k)
+                hi = min(hi, (ty2 + 1) // k)
+                for s in range(lo, hi + 1):
+                    rho = ty2 - k * s
+                    alpha = sign * (s - m * k)
+                    if rho == 0 and alpha < 3:
+                        continue
+                    out.append((rho, alpha, m * k + s, y))
+        y += 1
+    return out
+
+
+def _mirror(n: int, x: int, y: int) -> tuple[int, int]:
+    """The involution on rays X*H_n - 2tY*delta, in (X, Y) coordinates."""
+    t = 4 * n - 3
+    return (2 * t - 1) * x - 8 * t * (n - 1) * y, 2 * x - (2 * t - 1) * y
 
 
 def interior_solutions(
     n: int, full_congruence: bool, appendix_cases: bool
 ) -> list[tuple[int, int, int, int]]:
-    if _compiled is not None and fits_compiled(n):
-        return _compiled.interior_solutions(n, full_congruence, appendix_cases)
-    return _scan_py.interior_solutions(n, full_congruence, appendix_cases)
+    """(rho, alpha, X, Y) for every case of the criterion, in case order.
+
+    ``full_congruence`` False keeps only X in {alpha, 2(n-1) - alpha};
+    ``appendix_cases`` drops the top rho of the C-family (see case_pairs).
+    """
+    t = 4 * n - 3
+    lower = _lower_half(n, t)
+    out = lower + [
+        (rho, alpha, *_mirror(n, x, y)) for rho, alpha, x, y in lower if x > t * y
+    ]
+    return _select(n, sorted(out), full_congruence, appendix_cases)
 
 
-case_pairs = _scan_py.case_pairs
+def _select(
+    n: int, sols: list, full_congruence: bool, appendix_cases: bool
+) -> list[tuple[int, int, int, int]]:
+    """The solutions one mode sees: ``appendix_cases`` keeps rho in
+    [1, floor((n-1)/4) - 1] in the C-family, and without
+    ``full_congruence`` X must equal alpha or 2(n-1) - alpha."""
+    if appendix_cases:
+        rho_end = max(1, (n - 1) // 4)
+        sols = [sol for sol in sols if sol[0] < rho_end]
+    if not full_congruence:
+        m = 2 * (n - 1)
+        sols = [sol for sol in sols if sol[2] in (sol[1], m - sol[1])]
+    return sols

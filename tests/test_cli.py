@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 from k3invol import hilbcone, sigma
@@ -139,6 +140,20 @@ def test_strata_command(capsys):
     lines = [l for l in out.splitlines() if l.startswith("k=")]
     assert len(lines) == 2
     assert "fiber=2" in lines[0] and "fiber=6" in lines[1]
+    code, out, _ = run(capsys, ["strata", "--n", "6", "--verify"])
+    assert code == 0 and "verify: 4 checks passed" in out
+
+
+def test_strata_verify_reports_wrong_row(capsys, monkeypatch):
+    from k3invol import mukai
+
+    good = mukai.strata_table(mukai.MukaiContext(6))
+    bad = [good[0], dataclasses.replace(good[1], dim_Jk=good[1].dim_Jk + 1)]
+    monkeypatch.setattr(mukai, "strata_table", lambda ctx: bad)
+    code, out, err = run(capsys, ["strata", "--n", "6", "--verify"])
+    assert code == 1
+    assert "checks passed" not in out
+    assert "verify: FAIL" in err and "k=1" in err
 
 
 def test_lemmas_command(capsys):
@@ -177,6 +192,14 @@ def test_lemmas_expected_window_uses_search_box(capsys):
         assert code == 0 and "FINDING" not in out, (argv, out)
 
 
+def test_lemmas_rejects_negative_bound(capsys):
+    # a negative bound searches an empty box: a vacuous certificate
+    code, out, err = run(capsys, ["lemmas", "--n", "6", "--bound", "-1"])
+    assert code == 1
+    assert out == ""
+    assert "--bound" in err
+
+
 def test_pell_command(capsys):
     code, out, _ = run(capsys, ["pell", "--kind", "fundamental", "--d", "13", "--verify"])
     assert code == 0 and "(649,180)" in out
@@ -207,12 +230,6 @@ def test_formulas_command(capsys):
     obj = json.loads(out)
     assert obj["pluecker_linear_dim"] == "15"
     assert obj["catalan_degree"] == str(sigma.catalan_degree(6))
-
-
-def test_backend_command(capsys):
-    code, out, _ = run(capsys, ["backend"])
-    assert code == 0
-    assert out.strip() in ("compiled", "python")
 
 
 def test_module_errors_exit_one(capsys):

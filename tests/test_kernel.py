@@ -1,102 +1,90 @@
-import os
+import math
 import random
-import subprocess
-import sys
 
-import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-import k3invol
-from k3invol import _scan_py, kernel
-
-try:
-    from k3invol import _speedups
-except ImportError:
-    _speedups = None
-
-needs_compiled = pytest.mark.skipif(
-    _speedups is None, reason="compiled kernel not built"
-)
+from k3invol import kernel
+from k3invol.hilbcone import DivisorClass, involution_action
 
 
-def test_backend_reported():
-    assert kernel.BACKEND in ("compiled", "python")
+def y_scan(n, full_congruence, appendix_cases, t=None):
+    """The slow, obviously correct kernel: per case, try every Y with
+    Y^2 < 4A and keep X = sqrt(A + DY^2) when it is an integer in the
+    mode's congruence (literal X in appendix mode)."""
+    t = 4 * n - 3 if t is None else t
+    d = 4 * t * (n - 1)
+    m = 2 * (n - 1)
+    out = []
+    for rho, alpha in kernel.case_pairs(n, appendix_cases):
+        a = alpha * alpha - 4 * rho * (n - 1)
+        for y in range(1, math.isqrt(max(4 * a - 1, 0)) + 1):
+            x = math.isqrt(a + d * y * y)
+            if x * x != a + d * y * y:
+                continue
+            if full_congruence:
+                ok = (x - alpha) % m == 0 or (x + alpha) % m == 0
+            else:
+                ok = x in (alpha, m - alpha)
+            if ok:
+                out.append((rho, alpha, x, y))
+    return out
 
 
-def test_fits_compiled_threshold():
-    assert kernel.fits_compiled(1000)
-    assert kernel.fits_compiled(10_000)
-    assert not kernel.fits_compiled(10**6)
-
-
-@needs_compiled
-def test_backends_agree_randomized_cases():
-    rng = random.Random(11)
-    for _ in range(4000):
-        n = rng.randint(2, 150)
-        rho = rng.choice([-1, 0, rng.randint(1, max(1, (n - 1) // 4))])
-        alpha = rng.randint(1, max(1, n - 1))
-        for full in (True, False):
-            assert _scan_py.case_interior_solutions(
-                n, rho, alpha, full
-            ) == _speedups.case_interior_solutions(n, rho, alpha, full)
-
-
-@needs_compiled
-def test_backends_agree_full_case_lists():
-    for n in (2, 3, 4, 7, 13, 50, 101, 211):
-        for full, appendix in ((True, False), (False, True), (True, True)):
-            assert _scan_py.interior_solutions(
+def test_kernel_matches_y_scan_oracle():
+    for n in range(2, 151):
+        for full, appendix in ((True, False), (False, True)):
+            assert kernel.interior_solutions(n, full, appendix) == y_scan(
                 n, full, appendix
-            ) == _speedups.interior_solutions(n, full, appendix)
+            ), (n, full, appendix)
 
 
-def test_numpy_and_loop_paths_agree():
-    # force both code paths across the vectorization threshold
-    for n in (40, 97, 160):
-        for rho, alpha in _scan_py.case_pairs(n, False):
-            a_val = alpha * alpha - 4 * rho * (n - 1)
-            if a_val <= 0:
-                continue
-            m = 2 * (n - 1)
-            d = 4 * (4 * n - 3) * (n - 1)
-            import math
-
-            ymax = math.isqrt(4 * a_val - 1)
-            if ymax < 1:
-                continue
-            assert _scan_py._case_loop(a_val, d, m, alpha, ymax) == (
-                _scan_py._case_numpy(a_val, d, m, alpha, ymax)
-            )
+def _strictly_below(sols, t):
+    return sorted(s for s in sols if s[2] > t * s[3])
 
 
-def _child_env(backend):
-    """The test's own environment, importing the same k3invol as this test."""
-    env = dict(os.environ)
-    src = os.path.dirname(os.path.dirname(os.path.abspath(k3invol.__file__)))
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_lower_half_matches_oracle_on_generalized_t(data):
+    # t = 4n-3 has only the middle wall; other t have walls below the
+    # middle, including t < 4(n-1) where X > tY no longer implies the
+    # interior bound Y^2 < 4A, and walls of the top rho, which the appendix
+    # case list drops
+    n = data.draw(st.integers(3, 49), label="n")
+    t = data.draw(st.integers(n - 1, 4 * n + n // 4), label="t")
+    got = kernel._lower_half(n, t)
+    assert len(set(got)) == len(got)
+    below = _strictly_below(got, t)
+    for full in (True, False):
+        for appendix in (False, True):
+            assert kernel._select(n, below, full, appendix) == _strictly_below(
+                y_scan(n, full, appendix, t), t
+            ), (full, appendix)
+
+
+def test_generalized_t_has_walls_below_the_middle():
+    # the property test above is not vacuous: most generalized t have walls
+    with_walls = sum(
+        1
+        for n in range(3, 20)
+        for t in range(n - 1, 4 * n + n // 4 + 1)
+        if _strictly_below(kernel._lower_half(n, t), t)
     )
-    env["K3INVOL_BACKEND"] = backend
-    return env
+    assert with_walls > 300
 
 
-def test_python_backend_forced_by_env():
-    out = subprocess.run(
-        [sys.executable, "-c", "import k3invol; print(k3invol.BACKEND)"],
-        env=_child_env("python"),
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert out.stdout.strip() == "python"
+def test_alpha_top_found_once():
+    # alpha = n-1: the classes (k, -Y, (n-1)(k+1)) and (k+1, -Y, (n-1)k)
+    # give the same tuple, which must be listed once
+    assert kernel._lower_half(4, 5).count((-1, 3, 9, 1)) == 1
+    assert kernel.interior_solutions(2, True, False) == [(-1, 1, 5, 1)]
 
 
-def test_bad_backend_env_rejected():
-    out = subprocess.run(
-        [sys.executable, "-c", "import k3invol"],
-        env=_child_env("fortran"),
-        capture_output=True,
-        text=True,
-    )
-    assert out.returncode != 0
-    assert "unrecognized K3INVOL_BACKEND" in out.stderr
+def test_mirror_is_the_involution():
+    rng = random.Random(3)
+    for _ in range(500):
+        n = rng.randint(2, 300)
+        t = 4 * n - 3
+        x, y = rng.randint(1, 10**6), rng.randint(1, 10**4)
+        mx, my = kernel._mirror(n, x, y)
+        assert involution_action(n, DivisorClass(x, -2 * t * y)) == (mx, -2 * t * my)
