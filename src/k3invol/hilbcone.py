@@ -170,13 +170,17 @@ def enumerate_walls(n: int, full_congruence: bool = True) -> list[WallRecord]:
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    found = [middle_wall(n)]
-    for rho, alpha, x, y in kernel.interior_solutions(
-        n, full_congruence, appendix_cases=not full_congruence
-    ):
-        found.append(WallRecord.build(n, rho, alpha, x, y))
+    return _distinct_walls(
+        n,
+        kernel.interior_solutions(n, full_congruence, appendix_cases=not full_congruence),
+    )
+
+
+def _distinct_walls(n: int, solutions) -> list[WallRecord]:
+    """The middle wall and the records of ``solutions``, one per primitive
+    ray (the least (X, Y, rho, alpha)), sorted by slope."""
     by_ray: dict[tuple[int, int], WallRecord] = {}
-    for rec in found:
+    for rec in [middle_wall(n)] + [WallRecord.build(n, *sol) for sol in solutions]:
         key = rec.primitive_ray()
         cur = by_ray.get(key)
         if cur is None or (rec.X, rec.Y, rec.rho, rec.alpha) < (
@@ -247,8 +251,11 @@ class ScanRow:
 
 
 def _scan_row_worker(n: int) -> ScanRow:
-    full = enumerate_walls(n, full_congruence=True)
-    appendix = enumerate_walls(n, full_congruence=False)
+    # one enumeration per n: the appendix mode's solutions are a filter of
+    # the full mode's
+    solutions = kernel.interior_solutions(n, True, False)
+    full = _distinct_walls(n, solutions)
+    appendix = _distinct_walls(n, kernel.select(n, solutions, False, True))
     app_rays = {w.primitive_ray() for w in appendix}
     below_full = [w for w in full if w.below_middle]
     below_app = sum(1 for w in appendix if w.below_middle)

@@ -117,10 +117,10 @@ def interior_solutions(
     out = lower + [
         (rho, alpha, *_mirror(n, x, y)) for rho, alpha, x, y in lower if x > t * y
     ]
-    return _select(n, sorted(out), full_congruence, appendix_cases)
+    return select(n, sorted(out), full_congruence, appendix_cases)
 
 
-def _select(
+def select(
     n: int, sols: list, full_congruence: bool, appendix_cases: bool
 ) -> list[tuple[int, int, int, int]]:
     """The solutions one mode sees: ``appendix_cases`` keeps rho in

@@ -9,15 +9,15 @@ The module provides the distinguished vectors v, a, w, u and v^(i)
 spanning the wall lattice of the Hilbert scheme, the stratification
 bookkeeping of the indeterminacy locus, and two exhaustive integer
 searches certifying that v^(i) admits no decomposition into positive
-classes and no unexpected spherical class pairs against it.
+classes and no unexpected spherical class pairs against it.  Both
+searches walk x over the box |x|, |y| <= bound and solve for y in exact
+Python integers, so they cost O(bound + output) steps and never wrap.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 
 @dataclass(frozen=True)
@@ -121,6 +121,8 @@ def spherical_search(ctx: MukaiContext, i: int, bound: int) -> list[tuple[int, i
     """
     if i < -1:
         raise ValueError("i must be at least -1")
+    if bound < 0:
+        raise ValueError("bound must be at least 0")
     vi = v_i(ctx, i)
     vi_sq = mukai_pairing(ctx, vi, vi)
     if vi_sq <= 0:
@@ -187,40 +189,47 @@ def positive_decomposition_search(
 
     Expected empty whenever n >= (i+1)(i+2); a nonempty result would mean
     the flopping wall degenerates, so callers treat it as a finding.
-    Evaluated on an int64 grid (values stay far below 2^63 for any sane
-    bound since they are quadratic in bound with coefficients ~n).
+    Pairs are listed by x ascending, then y.  Each x cuts y to one
+    interval in exact integers, so a call costs O(bound + output) steps
+    and O(output) memory.
     """
     if not 0 <= i:
         raise ValueError("i must be nonnegative")
-    n = ctx.n
-    if n < (i + 1) * (i + 2):
+    if bound < 0:
+        raise ValueError("bound must be at least 0")
+    if ctx.n < (i + 1) * (i + 2):
         raise ValueError("requires n >= (i+1)(i+2)")
     vi = v_i(ctx, i)
-    vi_sq = mukai_pairing(ctx, vi, vi)
-
-    rng = np.arange(-bound, bound + 1, dtype=np.int64)
-    x, y = np.meshgrid(rng, rng, indexing="ij")
-    # w1 = x*v + y*a in (x, y) coordinates; w2 = v^(i) - w1 = (1-x)*v - (i+1+y)*a.
-    x2, y2 = 1 - x, -(i + 1) - y
-    sq1 = _coord_square(n, x, y)
-    sq2 = _coord_square(n, x2, y2)
-    p1 = (2 * n - i - 3) * x + (2 * i + 3) * y
-    p2 = (2 * n - i - 3) * x2 + (2 * i + 3) * y2
-    nonzero1 = (x != 0) | (y != 0)
-    nonzero2 = (x2 != 0) | (y2 != 0)
-    mask = (sq1 >= 0) & (sq2 >= 0) & (p1 > 0) & (p2 > 0) & nonzero1 & nonzero2
-
     v, a, _, _ = standard_vectors(ctx)
     found = []
-    for xi, yi in zip(x[mask].tolist(), y[mask].tolist()):
-        w1 = xi * v + yi * a
+    for x, y in _decompositions(ctx.n, 1, -(i + 1), bound):
+        w1 = x * v + y * a
         found.append((w1, vi - w1))
     return found
 
 
-def _coord_square(n, x, y):
-    # (x*v + y*a)^2 = (2n-2)x^2 + 2xy - 2y^2
-    return (2 * n - 2) * x * x + 2 * x * y - 2 * y * y
+def _decompositions(n: int, x0: int, y0: int, bound: int) -> list[tuple[int, int]]:
+    """(x, y), |x|, |y| <= bound, splitting T = x0*v + y0*a into w1 = x*v + y*a
+    and w2 = T - w1, both of nonnegative square and positive pairing with T.
+
+    v^(i) is T = (1, -(i+1)); any target with q = x0 - 2*y0 > 0 gives a
+    generalized problem with the same definitions.  (x*v + y*a)^2 =
+    2(n-1)x^2 + 2xy - 2y^2 >= 0 reads (2y - x)^2 <= t*x^2 with t = 4n-3,
+    and (w1, T) = p*x + q*y with p = 2(n-1)x0 + y0.  The cut
+    1 <= (w1, T) <= T^2 - 1 also excludes w1 = 0 and w2 = 0.
+    """
+    t = 4 * n - 3
+    p = 2 * (n - 1) * x0 + y0
+    q = x0 - 2 * y0
+    top = p * x0 + q * y0 - 1  # (w2, T) = T^2 - (w1, T) > 0
+    out = []
+    for x in range(-bound, bound + 1):
+        r1 = math.isqrt(t * x * x)  # w1^2 >= 0:  |2y - x| <= r1
+        r2 = math.isqrt(t * (x0 - x) ** 2)  # w2^2 >= 0:  |2y - (x - q)| <= r2
+        lo = max(-bound, -((r1 - x) // 2), -((r2 - x + q) // 2), -((p * x - 1) // q))
+        hi = min(bound, (x + r1) // 2, (x - q + r2) // 2, (top - p * x) // q)
+        out.extend((x, y) for y in range(lo, hi + 1))
+    return out
 
 
 def strata_table(ctx: MukaiContext) -> list[StrataRow]:

@@ -1,6 +1,10 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 
+import k3invol
 from k3invol import hilbcone, sigma
 from k3invol.cli import main
 
@@ -198,6 +202,23 @@ def test_lemmas_rejects_negative_bound(capsys):
     assert code == 1
     assert out == ""
     assert "--bound" in err
+
+
+def test_lemmas_runs_without_numpy():
+    # the package needs only the standard library: make "import numpy" fail
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(k3invol.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = (
+        "import sys; sys.modules['numpy'] = None; "
+        "from k3invol.cli import main; "
+        "sys.exit(main(['lemmas', '--n', '12', '--format', 'json']))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["surprises"] == []
 
 
 def test_pell_command(capsys):

@@ -57,7 +57,7 @@ def test_lower_half_matches_oracle_on_generalized_t(data):
     below = _strictly_below(got, t)
     for full in (True, False):
         for appendix in (False, True):
-            assert kernel._select(n, below, full, appendix) == _strictly_below(
+            assert kernel.select(n, below, full, appendix) == _strictly_below(
                 y_scan(n, full, appendix, t), t
             ), (full, appendix)
 

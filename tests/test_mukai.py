@@ -1,7 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from k3invol import mukai
 from k3invol.mukai import (
     MukaiContext,
     MukaiVector,
@@ -121,27 +124,31 @@ def test_spherical_rejects_vacuous_window():
     # i = r_max = 1 has (v^(1))^2 = -2 < 0
     with pytest.raises(ValueError):
         spherical_search(ctx, 1, 10)
+    with pytest.raises(ValueError):
+        spherical_search(ctx, 0, -1)  # empty box
 
 
-def _positive_oracle(n, i, bound):
+def _positive_oracle(n, target, bound):
+    """Literal double loop: the (x, y) splitting T = x0*v + y0*a into
+    w1 = x*v + y*a and w2 = T - w1, both nonzero, of nonnegative square and
+    positive pairing with T."""
     ctx = MukaiContext(n)
-    vi = v_i(ctx, i)
-    vi_sq = mukai_pairing(ctx, vi, vi)
     v, a, _, _ = standard_vectors(ctx)
+    big_t = target[0] * v + target[1] * a
     out = []
     for x in range(-bound, bound + 1):
         for y in range(-bound, bound + 1):
             w1 = x * v + y * a
-            w2 = vi - w1
+            w2 = big_t - w1
             if w1.is_zero() or w2.is_zero():
                 continue
             if (
                 mukai_pairing(ctx, w1, w1) >= 0
                 and mukai_pairing(ctx, w2, w2) >= 0
-                and mukai_pairing(ctx, w1, vi) > 0
-                and mukai_pairing(ctx, w2, vi) > 0
+                and mukai_pairing(ctx, w1, big_t) > 0
+                and mukai_pairing(ctx, w2, big_t) > 0
             ):
-                out.append((w1, w2))
+                out.append((x, y))
     return out
 
 
@@ -153,8 +160,40 @@ def test_positive_decomposition_examples():
 
 def test_positive_decomposition_matches_oracle():
     for n, i in ((3, 0), (5, 0), (6, 1), (12, 2), (13, 1)):
-        got = positive_decomposition_search(MukaiContext(n), i, 10)
-        assert got == _positive_oracle(n, i, 10)
+        ctx = MukaiContext(n)
+        v, a, _, _ = standard_vectors(ctx)
+        vi = v_i(ctx, i)
+        expected = [
+            (x * v + y * a, vi - (x * v + y * a))
+            for x, y in _positive_oracle(n, (1, -(i + 1)), 10)
+        ]
+        assert positive_decomposition_search(ctx, i, 10) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_decompositions_match_oracle_on_generalized_targets(data):
+    # v^(i) has no decomposition, so real inputs cannot tell a wrong
+    # interval from a right one; most other targets have decompositions
+    n = data.draw(st.integers(2, 12), label="n")
+    y0 = data.draw(st.integers(-6, 6), label="y0")
+    x0 = data.draw(st.integers(2 * y0 + 1, 2 * y0 + 12), label="x0")
+    bound = data.draw(st.integers(0, 15), label="bound")
+    assert mukai._decompositions(n, x0, y0, bound) == _positive_oracle(
+        n, (x0, y0), bound
+    )
+
+
+def test_generalized_targets_have_decompositions():
+    # the property test above is not vacuous: most targets split
+    with_parts = sum(
+        1
+        for n in range(3, 13)
+        for x0 in range(-5, 6)
+        for y0 in range(-5, 6)
+        if x0 - 2 * y0 > 0 and mukai._decompositions(n, x0, y0, 15)
+    )
+    assert with_parts > 300
 
 
 def test_positive_decomposition_validation():
@@ -162,6 +201,8 @@ def test_positive_decomposition_validation():
         positive_decomposition_search(MukaiContext(5), 1, 10)  # n < (i+1)(i+2)
     with pytest.raises(ValueError):
         positive_decomposition_search(MukaiContext(5), -1, 10)
+    with pytest.raises(ValueError):
+        positive_decomposition_search(MukaiContext(6), 0, -1)  # empty box
 
 
 def test_strata_examples():
