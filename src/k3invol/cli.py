@@ -86,27 +86,18 @@ def _wall_line(rec: hilbcone.WallRecord) -> str:
 
 def cmd_scan(args) -> int:
     full = args.mode == "full"
+    rows = hilbcone.scan_rows(args.min_n, args.max_n, jobs=args.jobs)
+    table = [(r.n, r.c_full if full else r.c_appendix) for r in rows]
     findings: list[str] = []
-    if full:
-        rows = hilbcone.scan_rows(args.min_n, args.max_n, jobs=args.jobs)
-        table = [(r.n, r.c_full) for r in rows]
-        for r in rows:
-            if r.disagreement:
-                for w in r.full_only_below:
-                    findings.append(
-                        f"mode disagreement: n={r.n} rho={w.rho} alpha={w.alpha} "
-                        f"X={w.X} Y={w.Y}"
-                    )
-            if r.c_full > 1:
-                findings.append(f"C_n > 1: n={r.n} C_n={r.c_full}")
-    else:
-        counts = hilbcone.scan_chambers(
-            args.min_n, args.max_n, full_congruence=False, jobs=args.jobs
-        )
-        table = sorted(counts.items())
-        for n, c in table:
-            if c > 1:
-                findings.append(f"C_n > 1: n={n} C_n={c}")
+    for r, (n, c) in zip(rows, table):
+        if full and r.disagreement:
+            for w in r.full_only_below:
+                findings.append(
+                    f"mode disagreement: n={n} rho={w.rho} alpha={w.alpha} "
+                    f"X={w.X} Y={w.Y}"
+                )
+        if c > 1:
+            findings.append(f"C_n > 1: n={n} C_n={c}")
 
     if args.format == "json":
         obj = {

@@ -20,8 +20,11 @@ Two congruence modes exist throughout:
   integers and the top rho of the C-family is dropped, replicating a
   historical search program byte for byte.
 
-Anything the full mode finds below the middle wall that the literal mode
-misses is a reportable finding, not an error.
+The appendix mode's solutions are a filter of the full mode's, so
+:func:`scan_rows`, the one scan path, enumerates and validates each n
+once and counts C_n in both modes from that.  Anything the full mode
+finds below the middle wall that the literal mode misses is a reportable
+finding, not an error.
 """
 
 from __future__ import annotations
@@ -150,8 +153,12 @@ class WallRecord:
         return self.slope < Fraction(1, 4 * self.n - 3)
 
     def primitive_ray(self) -> tuple[int, int]:
-        g = math.gcd(self.X, self.Y)
-        return self.X // g, self.Y // g
+        return _primitive_ray(self.X, self.Y)
+
+
+def _primitive_ray(x: int, y: int) -> tuple[int, int]:
+    g = math.gcd(x, y)
+    return x // g, y // g
 
 
 def middle_wall(n: int) -> WallRecord:
@@ -164,9 +171,9 @@ def enumerate_walls(n: int, full_congruence: bool = True) -> list[WallRecord]:
 
     Solutions come from the kernel's enumeration of wall classes over
     all cases at once; records defining the same ray are deduplicated on
-    the primitive (X, Y).  The middle wall is inserted unconditionally
-    (its existence is unconditional, and the literal congruence mode
-    cannot see it).
+    the primitive (X, Y).  The middle wall exists for every n; it is
+    inserted when the kernel does not return it, which happens exactly in
+    the literal congruence mode.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
@@ -177,10 +184,14 @@ def enumerate_walls(n: int, full_congruence: bool = True) -> list[WallRecord]:
 
 
 def _distinct_walls(n: int, solutions) -> list[WallRecord]:
-    """The middle wall and the records of ``solutions``, one per primitive
-    ray (the least (X, Y, rho, alpha)), sorted by slope."""
+    """The records of ``solutions`` and the middle wall, one per primitive
+    ray (the least (X, Y, rho, alpha)), sorted by slope.  Every solution is
+    built, and so validated, exactly once."""
+    middle = (-1, 1, 4 * n - 3, 1)
+    if middle not in solutions:
+        solutions = [middle, *solutions]
     by_ray: dict[tuple[int, int], WallRecord] = {}
-    for rec in [middle_wall(n)] + [WallRecord.build(n, *sol) for sol in solutions]:
+    for rec in (WallRecord.build(n, *sol) for sol in solutions):
         key = rec.primitive_ray()
         cur = by_ray.get(key)
         if cur is None or (rec.X, rec.Y, rec.rho, rec.alpha) < (
@@ -193,47 +204,12 @@ def _distinct_walls(n: int, solutions) -> list[WallRecord]:
     return sorted(by_ray.values(), key=lambda r: (r.slope, r.rho, r.alpha))
 
 
-def chamber_count(n: int, full_congruence: bool = True) -> tuple[int, int]:
-    """(C_n, number of wall rays strictly below the middle)."""
-    walls = enumerate_walls(n, full_congruence)
-    below = sum(1 for w in walls if w.below_middle)
-    return below + 1, below
-
-
 def _resolve_jobs(jobs: Optional[int]) -> int:
     if jobs is None:
         jobs = int(os.environ.get("JOBS", "1") or "1")
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
     return jobs
-
-
-def _chamber_worker(args: tuple[int, bool]) -> tuple[int, int]:
-    n, full = args
-    return n, chamber_count(n, full)[0]
-
-
-def scan_chambers(
-    n_min: int,
-    n_max: int,
-    full_congruence: bool = True,
-    jobs: Optional[int] = None,
-) -> dict[int, int]:
-    """C_n for every n in [n_min, n_max]; output ordered by n regardless of
-    the number of worker processes."""
-    if not 2 <= n_min <= n_max:
-        raise ValueError("need 2 <= n_min <= n_max")
-    jobs = _resolve_jobs(jobs)
-    ns = list(range(n_min, n_max + 1))
-    if jobs == 1 or len(ns) == 1:
-        pairs = [_chamber_worker((n, full_congruence)) for n in ns]
-    else:
-        # Submit the large n first: the per-n cost grows with n, so this
-        # keeps the pool balanced.
-        work = sorted(((n, full_congruence) for n in ns), reverse=True)
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            pairs = list(pool.map(_chamber_worker, work, chunksize=4))
-    return dict(sorted(pairs))
 
 
 @dataclass(frozen=True)
@@ -251,26 +227,30 @@ class ScanRow:
 
 
 def _scan_row_worker(n: int) -> ScanRow:
-    # one enumeration per n: the appendix mode's solutions are a filter of
-    # the full mode's
+    # one enumeration and one record per solution: the appendix mode sees a
+    # filter of the full mode's solutions, all of them built (and validated)
+    # by _distinct_walls, and only its distinct rays below the middle count
+    t = 4 * n - 3
     solutions = kernel.interior_solutions(n, True, False)
-    full = _distinct_walls(n, solutions)
-    appendix = _distinct_walls(n, kernel.select(n, solutions, False, True))
-    app_rays = {w.primitive_ray() for w in appendix}
-    below_full = [w for w in full if w.below_middle]
-    below_app = sum(1 for w in appendix if w.below_middle)
+    below_full = [w for w in _distinct_walls(n, solutions) if w.below_middle]
+    app_rays = {
+        _primitive_ray(x, y)
+        for _, _, x, y in kernel.select(n, solutions, False, True)
+        if x > t * y
+    }
     extra = tuple(w for w in below_full if w.primitive_ray() not in app_rays)
     return ScanRow(
         n=n,
         c_full=len(below_full) + 1,
-        c_appendix=below_app + 1,
+        c_appendix=len(app_rays) + 1,
         full_only_below=extra,
     )
 
 
 def scan_rows(n_min: int, n_max: int, jobs: Optional[int] = None) -> list[ScanRow]:
-    """Both modes side by side, with the below-middle records only the full
-    congruence can see (the witnesses of a mode disagreement)."""
+    """C_n in both modes for every n in [n_min, n_max], ordered by n whatever
+    the number of worker processes, with the below-middle records only the
+    full congruence can see (the witnesses of a mode disagreement)."""
     if not 2 <= n_min <= n_max:
         raise ValueError("need 2 <= n_min <= n_max")
     jobs = _resolve_jobs(jobs)

@@ -28,6 +28,24 @@ swaps the solutions strictly below the middle with those strictly above.
 The appendix mode keeps the solutions whose X literally equals alpha or
 2(n-1) - alpha, in its shorter case list.
 
+Theorem (C_n = 1).  For t = 4n-3 the only solution on or below the
+middle is the middle wall (rho, alpha, X, Y) = (-1, 1, t, 1), so none lies
+strictly above it either and interior_solutions(n, True, False) is
+[(-1, 1, t, 1)] for every n >= 2.  Write m = n-1, so t = 4m+1, and
+d = s - mk, so |d| = alpha <= m.  Then rho = tY^2 - ks >= -1,
+X = 2mk + d >= tY and A = d^2 - 4m rho <= m(m+4).
+
+1. A >= tY^2 gives Y <= m.  Then X >= tY and d <= m give k >= 2Y; write
+   k = 2Y + e with e >= 0.
+2. If e >= 1, then X >= 4mY + m, and X^2 = A + 4tmY^2 <= m(m+4) + 4tmY^2.
+   Together these reduce to 2mY <= 1 + Y^2, which no Y in [1, m]
+   satisfies once m >= 2.  For n = 2 the only case is (-1, 1), whose one
+   solution is the middle wall.
+3. If e = 0, then X >= tY gives d >= Y, so rho = Y^2 - 2Yd <= -Y^2.  With
+   rho >= -1 this forces Y = 1 and then d = 1: the middle wall.
+
+The scan stays as the computational cross-check of this proof.
+
 Ordering contract: cases run A (rho = -1), B (rho = 0), then C (rho >= 1),
 alpha ascending inside each and rho ascending in C, which is ascending
 (rho, alpha); per case, solutions are listed by increasing Y.

@@ -88,6 +88,17 @@ def test_scan_reports_disagreement_with_witness(capsys, monkeypatch):
     assert "C_n > 1" in out
 
 
+def test_scan_appendix_reports_chamber_count(capsys, monkeypatch):
+    fake = [hilbcone.ScanRow(n=3, c_full=1, c_appendix=2, full_only_below=())]
+    monkeypatch.setattr(hilbcone, "scan_rows", lambda *a, **k: fake)
+    code, out, _ = run(
+        capsys, ["scan", "--min-n", "3", "--max-n", "3", "--mode", "appendix"]
+    )
+    assert code == 2
+    assert "FINDING: C_n > 1: n=3 C_n=2" in out
+    assert "mode disagreement" not in out
+
+
 def test_walls_text_and_json(capsys):
     code, out, _ = run(capsys, ["walls", "--n", "3"])
     assert code == 0

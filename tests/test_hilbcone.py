@@ -10,16 +10,14 @@ from k3invol.hilbcone import (
     WallRecord,
     bb_form,
     cattaneo_cases,
-    chamber_count,
     enumerate_walls,
     involution_action,
     middle_wall,
     movable_rays,
-    scan_chambers,
     scan_rows,
 )
 from k3invol.mukai import MukaiVector
-from k3invol.pell import GeneralizedPellProblem, solutions_bounded
+from pell_reference import GeneralizedPellProblem, solutions_bounded
 
 
 def test_bb_form_examples():
@@ -140,24 +138,39 @@ def test_wall_invariants_and_involution_stability():
 
 
 def test_chamber_count_examples():
-    assert chamber_count(3) == (1, 0)
-    assert chamber_count(47) == (1, 0)
-    assert chamber_count(200) == (1, 0)
-    assert chamber_count(200, full_congruence=False) == (1, 0)
+    for n in (3, 47, 200):
+        (row,) = scan_rows(n, n, jobs=1)
+        assert row.c_full == row.c_appendix == 1
 
 
 def test_scan_chambers_range_and_validation():
-    assert scan_chambers(2, 3) == {2: 1, 3: 1}
+    assert [(r.n, r.c_appendix) for r in scan_rows(2, 3)] == [(2, 1), (3, 1)]
     with pytest.raises(ValueError):
-        scan_chambers(5, 4)
+        scan_rows(5, 4)
     with pytest.raises(ValueError):
-        scan_chambers(1, 4)
+        scan_rows(1, 4)
 
 
 def test_scan_chambers_jobs_deterministic():
-    seq = scan_chambers(2, 40, jobs=1)
-    par = scan_chambers(2, 40, jobs=2)
-    assert list(seq.items()) == list(par.items())
+    assert scan_rows(2, 40, jobs=1) == scan_rows(2, 40, jobs=2)
+
+
+def test_each_wall_built_once(monkeypatch):
+    calls = [0]
+    build = WallRecord.build.__func__
+
+    def counting(cls, *args):
+        calls[0] += 1
+        return build(cls, *args)
+
+    monkeypatch.setattr(WallRecord, "build", classmethod(counting))
+    scan_rows(2, 60, jobs=1)
+    assert calls[0] == 59  # one wall, the middle one, per n
+    for full in (True, False):
+        for n in (2, 3, 47):
+            calls[0] = 0
+            enumerate_walls(n, full)
+            assert calls[0] == 1, (n, full)
 
 
 def test_scan_rows_agreement():

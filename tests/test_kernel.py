@@ -80,6 +80,13 @@ def test_alpha_top_found_once():
     assert kernel.interior_solutions(2, True, False) == [(-1, 1, 5, 1)]
 
 
+@settings(max_examples=50, deadline=None)
+@given(st.integers(2, 10**9))
+def test_only_the_middle_wall(n):
+    # the theorem C_n = 1 of the kernel docstring
+    assert kernel.interior_solutions(n, True, False) == [(-1, 1, 4 * n - 3, 1)]
+
+
 def test_mirror_is_the_involution():
     rng = random.Random(3)
     for _ in range(500):

