@@ -423,19 +423,15 @@ def cmd_pell(args) -> int:
     else:
         print(ok_line)
     if args.verify and sol is not None:
-        if args.kind == "fundamental":
-            ok = sol.x * sol.x - args.d * sol.y * sol.y == 1 and all(
-                not pell.isqrt(1 + args.d * y * y)[1] for y in range(1, sol.y)
-            )
-        elif args.kind == "negative":
-            ok = sol.x * sol.x - args.d * sol.y * sol.y == -1 and all(
-                not pell.isqrt(args.d * y * y - 1)[1] for y in range(1, sol.y)
-            )
-        else:
+        if args.kind == "mixed":
             ok = (
                 args.p * sol.x**2 - args.q * sol.y**2 == -1
                 and pell.minimal_solution_mixed(args.p, args.q, x_bound=sol.x - 1)
                 is None
+            )
+        else:
+            ok = sol.x * sol.x - args.d * sol.y * sol.y == rhs and not (
+                pell.has_smaller_solution(args.d, rhs, sol.y)
             )
         if not ok:
             print("verify: FAIL minimality/equation", file=sys.stderr)

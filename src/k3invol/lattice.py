@@ -4,14 +4,15 @@ Matrices are plain tuples of tuples of Python ints (exactness over speed;
 the largest lattice used has rank 23).  A map is stored column-wise: the
 j-th column is the image of the j-th basis vector, so maps act on
 coordinate vectors by ordinary matrix-vector multiplication and compose
-by matrix multiplication.  Dual-lattice arithmetic uses exact fractions.
+by matrix multiplication.  Dual-lattice arithmetic stays in integers: one
+fraction-free elimination gives det G and the adjugate det(G) * G^-1, and
+the discriminant check compares M * adj with adj modulo det G.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -37,9 +38,14 @@ U = "U"
 
 @dataclass(frozen=True)
 class IntegerLattice:
-    """Even nondegenerate lattice given by its Gram matrix."""
+    """Even nondegenerate lattice given by its Gram matrix.
+
+    ``det`` and ``adjugate`` (det * gram^-1, an integer matrix) come from
+    one elimination, run once when the lattice is built."""
 
     gram: tuple[tuple[int, ...], ...]
+    det: int = field(init=False, compare=False)
+    adjugate: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g = self.gram
@@ -52,16 +58,15 @@ class IntegerLattice:
             for j in range(i):
                 if g[i][j] != g[j][i]:
                     raise ValueError("gram must be symmetric")
-        if _int_det(g) == 0:
+        det, adj = _adjugate(g)
+        if det == 0:
             raise ValueError("gram must be nondegenerate")
+        object.__setattr__(self, "det", det)
+        object.__setattr__(self, "adjugate", adj)
 
     @property
     def rank(self) -> int:
         return len(self.gram)
-
-    @property
-    def det(self) -> int:
-        return _int_det(self.gram)
 
     def element(self, coords: Sequence[int]) -> "LatticeElement":
         return LatticeElement(self, tuple(int(c) for c in coords))
@@ -70,9 +75,6 @@ class IntegerLattice:
         coords = [0] * self.rank
         coords[j] = 1
         return self.element(coords)
-
-    def gram_inverse(self) -> tuple[tuple[Fraction, ...], ...]:
-        return _fraction_inverse(self.gram)
 
 
 @dataclass(frozen=True)
@@ -85,11 +87,8 @@ class LatticeElement:
             raise ValueError("coordinate length does not match the rank")
 
     def pair(self, other: "LatticeElement") -> int:
-        g = self.lattice.gram
-        return sum(
-            ci * sum(g[i][j] * cj for j, cj in enumerate(other.coords))
-            for i, ci in enumerate(self.coords)
-        )
+        gy = _mat_vec(self.lattice.gram, other.coords)
+        return sum(c * d for c, d in zip(self.coords, gy))
 
     def square(self) -> int:
         return self.pair(self)
@@ -122,12 +121,7 @@ class LatticeMap:
     matrix: tuple[tuple[int, ...], ...]
 
     def apply(self, e: LatticeElement) -> LatticeElement:
-        m = self.matrix
-        coords = tuple(
-            sum(m[i][j] * c for j, c in enumerate(e.coords))
-            for i in range(self.lattice.rank)
-        )
-        return LatticeElement(self.lattice, coords)
+        return LatticeElement(self.lattice, tuple(_mat_vec(self.matrix, e.coords)))
 
     def compose(self, other: "LatticeMap") -> "LatticeMap":
         """self after other (rightmost acts first)."""
@@ -136,7 +130,7 @@ class LatticeMap:
     def is_isometry(self) -> bool:
         g = self.lattice.gram
         m = self.matrix
-        return _mat_mul(_transpose(m), _mat_mul(g, m)) == tuple(
+        return _mat_mul(tuple(zip(*m)), _mat_mul(g, m)) == tuple(
             tuple(row) for row in g
         )
 
@@ -181,18 +175,14 @@ def transvection(x: LatticeElement, y: LatticeElement) -> LatticeMap:
         raise ValueError("t(x, y) requires (x, x) = 0")
     if x.pair(y) != 0:
         raise ValueError("t(x, y) requires (x, y) = 0")
-    g = lat.gram
-    gx = [sum(g[i][j] * c for j, c in enumerate(x.coords)) for i in range(lat.rank)]
-    gy = [sum(g[i][j] * c for j, c in enumerate(y.coords)) for i in range(lat.rank)]
+    gx = _mat_vec(lat.gram, x.coords)
+    gy = _mat_vec(lat.gram, y.coords)
     h = y.square() // 2  # integral: the lattice is even
-    cols = []
-    for j in range(lat.rank):
-        col = [0] * lat.rank
-        col[j] = 1
-        for i in range(lat.rank):
-            col[i] += -gy[j] * x.coords[i] + gx[j] * y.coords[i] - h * gx[j] * x.coords[i]
-        cols.append(col)
-    m = tuple(tuple(cols[j][i] for j in range(lat.rank)) for i in range(lat.rank))
+    # entry (i, j) is coordinate i of t(e_j), with (x, e_j) = gx[j], (y, e_j) = gy[j]
+    m = tuple(
+        tuple(int(i == j) - gy[j] * xi + gx[j] * (yi - h * xi) for j in range(lat.rank))
+        for i, (xi, yi) in enumerate(zip(x.coords, y.coords))
+    )
     out = LatticeMap(lat, m)
     if not out.is_isometry():
         raise AssertionError("transvection failed the Gram check")
@@ -266,78 +256,68 @@ def divisibility(e: LatticeElement) -> int:
     """Positive generator of the ideal {(e, z) : z in the lattice}."""
     if e.is_zero():
         raise ValueError("divisibility of the zero vector is undefined")
-    g = e.lattice.gram
-    pairings = [
-        sum(g[i][j] * c for j, c in enumerate(e.coords)) for i in range(e.lattice.rank)
-    ]
-    return math.gcd(*pairings)
+    return math.gcd(*_mat_vec(e.lattice.gram, e.coords))
 
 
 def acts_trivially_on_discriminant(m: LatticeMap) -> bool:
-    """Whether m fixes every dual vector modulo the integral lattice."""
+    """Whether m fixes every dual vector modulo the integral lattice.
+
+    In coordinates, z lies in the dual L* exactly when G z is integral, so
+    L* = G^-1 Z^r is generated by the columns of G^-1.  An isometry maps L*
+    onto itself, and it fixes L*/L pointwise exactly when (M - I) G^-1 is an
+    integer matrix.  With d = det G and adj = d G^-1 (an integer matrix)
+    that reads (M - I) adj == 0 (mod d), i.e. M adj == adj entrywise mod d.
+    """
     if not m.is_isometry():
         raise ValueError("the map must be an isometry")
-    ginv = m.lattice.gram_inverse()
-    r = m.lattice.rank
-    mat = m.matrix
-    for j in range(r):
-        for i in range(r):
-            moved = sum(Fraction(mat[i][k]) * ginv[k][j] for k in range(r))
-            if (moved - ginv[i][j]).denominator != 1:
-                return False
-    return True
+    d, adj = m.lattice.det, m.lattice.adjugate
+    return all(
+        (x - y) % d == 0
+        for moved, row in zip(_mat_mul(m.matrix, adj), adj)
+        for x, y in zip(moved, row)
+    )
 
 
 # ---------------------------------------------------------------------------
 # small exact-matrix helpers
 
 
-def _transpose(m):
-    return tuple(tuple(m[j][i] for j in range(len(m))) for i in range(len(m[0])))
-
-
 def _mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    bt = [[b[i][j] for i in range(k)] for j in range(m)]
-    return tuple(
-        tuple(sum(arow[x] * bcol[x] for x in range(k)) for bcol in bt) for arow in a
-    )
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a)
 
 
-def _int_det(g) -> int:
-    """Bareiss fraction-free determinant of an integer matrix."""
-    a = [list(row) for row in g]
-    n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+def _mat_vec(m, v) -> list[int]:
+    return [sum(a * c for a, c in zip(row, v)) for row in m]
 
 
-def _fraction_inverse(g) -> tuple[tuple[Fraction, ...], ...]:
+def _adjugate(g) -> tuple[int, tuple[tuple[int, ...], ...] | None]:
+    """(det g, adj g) of a square integer matrix, adj g = det(g) * g^-1.
+
+    Bareiss (fraction-free) Gauss-Jordan elimination on [g | I]: at step
+    k every row i != k becomes (p_k * row_i - a_ik * row_k) / p_(k-1),
+    with p_k the k-th pivot.  The division is exact (each entry is a minor
+    of the augmented matrix), so all entries stay integers.  Row swaps in
+    the pivot search amount to starting from [P g | P]; the elimination
+    ends at [d I | R] with d = det(P g) = sign(P) det g, and the row
+    operations E with E P g = d I give R = E P = d g^-1.  Returns
+    (0, None) for a singular g.
+    """
     n = len(g)
-    a = [[Fraction(g[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(g)]
+    sign, prev = 1, 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
         if piv is None:
-            raise ValueError("matrix is singular")
-        a[col], a[piv] = a[piv], a[col]
-        pv = a[col][col]
-        a[col] = [x / pv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return tuple(tuple(row[n:]) for row in a)
+            return 0, None
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        pivot_row = a[k]
+        p = pivot_row[k]
+        for i in range(n):
+            if i != k:
+                f = a[i][k]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], pivot_row)]
+        prev = p
+    return sign * prev, tuple(tuple(sign * x for x in row[n:]) for row in a)

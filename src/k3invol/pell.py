@@ -93,6 +93,24 @@ def negative_pell_minimal(D: int, trial_limit: int = 10**4) -> Optional[PellSolu
     raise AssertionError("unreachable")
 
 
+def has_smaller_solution(D: int, rhs: int, y: int) -> bool:
+    """Whether x^2 - D*y'^2 = rhs, with rhs = 1 or -1, has a solution in
+    positive integers with y' < y; D must be a positive nonsquare.
+
+    Legendre's criterion bounds the search.  For D >= 2 every positive
+    solution has |sqrt(D) - x/y'| = 1/(y'(x + y' sqrt(D))) < 1/(2y'^2),
+    because x + y' sqrt(D) > 2y' (x >= y' when rhs = -1, x > y' sqrt(D)
+    when rhs = 1), and gcd(x, y') = 1.  So x/y' is a continued-fraction
+    convergent of sqrt(D), and only the convergents with q < y need
+    checking.
+    """
+    if rhs not in (1, -1):
+        raise ValueError("rhs must be 1 or -1")
+    for p, q, _ in _sqrt_cf_convergents(D):
+        if q >= y or p * p - D * q * q == rhs:
+            return q < y
+
+
 def _has_small_prime_factor_3_mod_4(m: int, limit: int) -> bool:
     """Trial division only; False means "none found", not "none exists"."""
     while m % 2 == 0:

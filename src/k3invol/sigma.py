@@ -65,7 +65,8 @@ def _delta(n: int) -> tuple[int, int]:
     t = 4 * n - 3
     g = math.gcd(3, n)
     num = t * (n - 3)
-    assert num % (g * g) == 0
+    if num % (g * g):
+        raise AssertionError("t(n-3) is not divisible by gcd(3, n)^2")
     return g, num // (g * g)
 
 
@@ -204,7 +205,8 @@ def catalan_degree(n: int) -> int:
     if n < 2:
         raise ValueError("requires n >= 2")
     num = math.comb(4 * n - 2, 2 * n - 1)
-    assert num % (2 * n) == 0
+    if num % (2 * n):
+        raise AssertionError("binomial(4n-2, 2n-1) is not divisible by 2n")
     return num // (2 * n)
 
 

@@ -3,9 +3,11 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import k3invol
-from k3invol import hilbcone, sigma
+from k3invol import hilbcone, pell, sigma
+from k3invol.pell import PellSolution, fundamental_solution, negative_pell_minimal
 from k3invol.cli import main
 
 
@@ -243,6 +245,41 @@ def test_pell_command(capsys):
     assert code == 0 and "(2,1)" in out
     code, _, err = run(capsys, ["pell", "--kind", "mixed"])
     assert code == 1
+
+
+def test_pell_verify_is_fast_for_long_periods(capsys):
+    # the fundamental solution of D = 61 has y = 226153980; checking every
+    # smaller y would take minutes
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, ["pell", "--kind", "fundamental", "--d", "61", "--verify"])
+    assert code == 0
+    assert "minimal (x,y)=(1766319049,226153980)" in out
+    assert "verify: equation and minimality confirmed" in out
+    code, out, _ = run(capsys, ["pell", "--kind", "negative", "--d", "61", "--verify"])
+    assert code == 0
+    assert "minimal (x,y)=(29718,3805)" in out
+    assert "verify: equation and minimality confirmed" in out
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 5.0, f"pell --verify took {elapsed:.1f}s"
+
+
+def test_pell_verify_rejects_non_minimal_solution(capsys, monkeypatch):
+    # the square of the fundamental solution and the cube of the minimal
+    # negative one solve the same equations but are not minimal
+    def square(d):
+        x, y = fundamental_solution(d)
+        return PellSolution(x * x + d * y * y, 2 * x * y)
+
+    def cube(d):
+        x, y = negative_pell_minimal(d)
+        return PellSolution(x**3 + 3 * d * x * y * y, 3 * x * x * y + d * y**3)
+
+    monkeypatch.setattr(pell, "fundamental_solution", square)
+    monkeypatch.setattr(pell, "negative_pell_minimal", cube)
+    for kind in ("fundamental", "negative"):
+        code, _, err = run(capsys, ["pell", "--kind", kind, "--d", "13", "--verify"])
+        assert code == 1
+        assert "verify: FAIL minimality/equation" in err
 
 
 def test_eichler_command(capsys):

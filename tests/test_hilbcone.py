@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from k3invol import kernel
+from k3invol.cli import main as cli_main
 from k3invol.hilbcone import (
     DivisorClass,
     WallRecord,
@@ -180,6 +181,33 @@ def test_scan_rows_agreement():
         assert r.c_full == r.c_appendix == 1
         assert not r.disagreement
         assert r.full_only_below == ()
+
+
+def inject_full_only_witness(monkeypatch):
+    """At n = 7, add (rho, alpha, X, Y) = (n-2, 2n, 4n-2, 1) to the kernel's
+    solutions: it builds, lies below the middle wall, and the literal
+    congruence mode cannot see it."""
+    real = kernel.interior_solutions
+
+    def with_witness(n, *args, **kwargs):
+        sols = real(n, *args, **kwargs)
+        return [*sols, (n - 2, 2 * n, 4 * n - 2, 1)] if n == 7 else sols
+
+    monkeypatch.setattr(kernel, "interior_solutions", with_witness)
+
+
+def test_scan_reports_full_only_witness(monkeypatch, capsys):
+    inject_full_only_witness(monkeypatch)
+    rows = {r.n: r for r in scan_rows(5, 9, jobs=1)}
+    assert sorted(rows) == [5, 6, 7, 8, 9]
+    assert (rows[7].c_full, rows[7].c_appendix) == (2, 1)
+    assert rows[7].disagreement
+    assert [(w.rho, w.alpha, w.X, w.Y) for w in rows[7].full_only_below] == [(5, 14, 26, 1)]
+    for n in (5, 6, 8, 9):
+        assert (rows[n].c_full, rows[n].c_appendix, rows[n].full_only_below) == (1, 1, ())
+    assert cli_main(["scan", "--min-n", "7", "--max-n", "7"]) == 2
+    out = capsys.readouterr().out
+    assert "FINDING: mode disagreement: n=7 rho=5 alpha=14 X=26 Y=1" in out
 
 
 def test_kernel_matches_pell_reference():

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -20,6 +21,57 @@ from k3invol.lattice import (
 def identity_map(lat):
     n = lat.rank
     return LatticeMap(lat, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
+
+
+def permutation_map(lat, images):
+    """Signed permutation: basis vector j goes to sign * e_k for images[j] = (sign, k)."""
+    m = [[0] * lat.rank for _ in range(lat.rank)]
+    for j, (sign, k) in enumerate(images):
+        m[k][j] = sign
+    return LatticeMap(lat, tuple(tuple(row) for row in m))
+
+
+def fraction_inverse(g):
+    """Slow oracle: (det g, g^-1) by Gauss-Jordan elimination over Fraction,
+    or (0, None) for a singular g."""
+    n = len(g)
+    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(g)]
+    det = Fraction(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            return 0, None
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            det = -det
+        pv = a[col][col]
+        det *= pv
+        a[col] = [x / pv for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return det, tuple(tuple(row[n:]) for row in a)
+
+
+def oracle_acts_trivially(m):
+    """Slow oracle: (M - I) G^-1 has integer entries, computed in Fractions."""
+    _, ginv = fraction_inverse(m.lattice.gram)
+    r = m.lattice.rank
+    return all(
+        (sum(m.matrix[i][k] * ginv[k][j] for k in range(r)) - ginv[i][j]).denominator == 1
+        for i in range(r)
+        for j in range(r)
+    )
+
+
+def random_even_gram(rng, rank):
+    g = [[0] * rank for _ in range(rank)]
+    for i in range(rank):
+        g[i][i] = 2 * rng.randint(-3, 3)
+        for j in range(i):
+            g[i][j] = g[j][i] = rng.randint(-3, 3)
+    return tuple(tuple(row) for row in g)
 
 
 def test_build_lattice_examples():
@@ -55,6 +107,24 @@ def test_lattice_validation():
         IntegerLattice(((0, 1), (2, 0)))  # not symmetric
     with pytest.raises(ValueError):
         IntegerLattice(((0, 0), (0, 0)))  # degenerate
+
+
+def test_det_and_adjugate_match_fraction_oracle():
+    rng = random.Random(11)
+    grams = [random_even_gram(rng, rng.randint(1, 6)) for _ in range(300)]
+    grams += [build_xi(n).gram for n in (2, 3, 10)]
+    nondegenerate = 0
+    for g in grams:
+        det, ginv = fraction_inverse(g)
+        if det == 0:
+            with pytest.raises(ValueError):
+                IntegerLattice(g)
+            continue
+        nondegenerate += 1
+        lat = IntegerLattice(g)
+        assert lat.det == det
+        assert lat.adjugate == tuple(tuple(det * x for x in row) for row in ginv)
+    assert nondegenerate > 200
 
 
 def test_transvection_preconditions():
@@ -154,6 +224,59 @@ def test_discriminant_action():
         neg_ell = LatticeMap(lat, tuple(tuple(row) for row in m))
         assert neg_ell.is_isometry()
         assert acts_trivially_on_discriminant(neg_ell) is expected
+        assert oracle_acts_trivially(neg_ell) is expected
+
+
+# U + <-4> + <-4>: discriminant group (Z/4)^2.  Negating one <-4> summand
+# or swapping the two moves it.
+_U44 = build_lattice([U, -4, -4])
+# U(4) + U: discriminant group (Z/4)^2 with a hyperbolic form.  -1 on U(4)
+# moves it, yet (M - I) G^-1 has an integral diagonal and an integral last
+# column; only two off-diagonal entries, -1/2, are fractional.
+_U4U = IntegerLattice(((0, 4, 0, 0), (4, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0)))
+DISCRIMINANT_CASES = [
+    pytest.param(_U44, identity_map(_U44), True, id="U44-id"),
+    pytest.param(
+        _U44, permutation_map(_U44, [(1, 0), (1, 1), (1, 2), (-1, 3)]), False, id="U44-minus-l"
+    ),
+    pytest.param(
+        _U44, permutation_map(_U44, [(1, 0), (1, 1), (1, 3), (1, 2)]), False, id="U44-swap"
+    ),
+    pytest.param(_U4U, identity_map(_U4U), True, id="U4U-id"),
+    pytest.param(
+        _U4U, permutation_map(_U4U, [(-1, 0), (-1, 1), (1, 2), (1, 3)]), False, id="U4U-minus-U4"
+    ),
+]
+# hyperbolic pairs (a, b) of each lattice: e_a is isotropic and pairs only with e_b
+_HYPERBOLIC_PAIRS = {_U44: [(0, 1), (1, 0)], _U4U: [(0, 1), (1, 0), (2, 3), (3, 2)]}
+
+
+def random_transvections(rng, lat):
+    """A product of one to three random Eichler transvections t(e_a, y)."""
+    out = identity_map(lat)
+    for _ in range(rng.randint(1, 3)):
+        a, b = rng.choice(_HYPERBOLIC_PAIRS[lat])
+        coords = [rng.randint(-3, 3) for _ in range(lat.rank)]
+        coords[b] = 0  # (e_a, y) = 0
+        out = out.compose(transvection(lat.basis_element(a), lat.element(coords)))
+    return out
+
+
+@pytest.mark.parametrize("lat, s_map, expected", DISCRIMINANT_CASES)
+def test_discriminant_action_matches_oracle(lat, s_map, expected):
+    assert s_map.is_isometry()
+    assert acts_trivially_on_discriminant(s_map) is expected
+    assert oracle_acts_trivially(s_map) is expected
+    # Eichler transvections act trivially on the discriminant group, so
+    # T1 o S o T2, a dense matrix, has the verdict of S
+    rng = random.Random(12)
+    for _ in range(30):
+        m = random_transvections(rng, lat).compose(s_map).compose(
+            random_transvections(rng, lat)
+        )
+        assert m.is_isometry()
+        assert acts_trivially_on_discriminant(m) is expected
+        assert oracle_acts_trivially(m) is expected
 
 
 def test_discriminant_rejects_non_isometry():

@@ -6,6 +6,7 @@ import pytest
 from k3invol.pell import (
     PellSolution,
     fundamental_solution,
+    has_smaller_solution,
     isqrt,
     minimal_solution_mixed,
     negative_pell_minimal,
@@ -128,6 +129,19 @@ def test_negative_pell_properties():
                 assert m % 4 != 3
         else:
             assert brute is None
+
+
+def test_has_smaller_solution_matches_brute_force():
+    for d in range(2, 120):
+        if isqrt(d)[1]:
+            continue
+        for rhs in (1, -1):
+            solved = [y for y in range(1, 400) if isqrt(d * y * y + rhs)[1]]
+            for y in range(1, 401):
+                expected = any(s < y for s in solved)
+                assert has_smaller_solution(d, rhs, y) is expected, (d, rhs, y)
+    with pytest.raises(ValueError):
+        has_smaller_solution(13, 4, 10)
 
 
 def test_mixed_examples():
