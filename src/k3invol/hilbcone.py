@@ -32,7 +32,7 @@ from __future__ import annotations
 import logging
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
@@ -258,6 +258,20 @@ def scan_rows(n_min: int, n_max: int, jobs: Optional[int] = None) -> list[ScanRo
     if jobs == 1 or len(ns) == 1:
         rows = [_scan_row_worker(n) for n in ns]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # looked up on the module, so that __getattr__ below imports it on
+        # first use and a replacement set on the module (perfbench counts
+        # pool tasks that way) is the one used
+        pool_type = sys.modules[__name__].ProcessPoolExecutor
+        with pool_type(max_workers=jobs) as pool:
             rows = list(pool.map(_scan_row_worker, sorted(ns, reverse=True), chunksize=4))
     return sorted(rows, key=lambda r: r.n)
+
+
+def __getattr__(name: str):
+    """Import the process pool on first use, as ``concurrent.futures`` does
+    itself, so a command that starts no pool never loads multiprocessing."""
+    if name != "ProcessPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor

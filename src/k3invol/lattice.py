@@ -1,12 +1,15 @@
 """Even integer lattices, Eichler transvections, and the period-lattice check.
 
-Matrices are plain tuples of tuples of Python ints (exactness over speed;
-the largest lattice used has rank 23).  A map is stored column-wise: the
-j-th column is the image of the j-th basis vector, so maps act on
-coordinate vectors by ordinary matrix-vector multiplication and compose
-by matrix multiplication.  Dual-lattice arithmetic stays in integers: one
-fraction-free elimination gives det G and the adjugate det(G) * G^-1, and
-the discriminant check compares M * adj with adj modulo det G.
+Matrices are plain tuples of tuples of Python ints (the largest lattice
+used has rank 23).  Gram matrices, transvections and the period map have
+only a few nonzero entries per row, so a matrix product, still exact,
+builds each row from the nonzero entries of the left factor alone.  A
+map is stored column-wise: the j-th column is the image of the j-th
+basis vector, so maps act on coordinate vectors by ordinary
+matrix-vector multiplication and compose by matrix multiplication.
+Dual-lattice arithmetic stays in integers: one fraction-free elimination
+gives det G and the adjugate det(G) * G^-1, and the discriminant check
+compares M * adj with adj modulo det G.
 """
 
 from __future__ import annotations
@@ -283,8 +286,15 @@ def acts_trivially_on_discriminant(m: LatticeMap) -> bool:
 
 
 def _mat_mul(a, b):
-    cols = tuple(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a)
+    """a * b, with row i the sum of a_ik * (row k of b) over the nonzero a_ik."""
+    out = []
+    for row in a:
+        acc = [0] * len(b[0])
+        for x, b_row in zip(row, b):
+            if x:
+                acc = [s + x * y for s, y in zip(acc, b_row)]
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 def _mat_vec(m, v) -> list[int]:

@@ -10,8 +10,11 @@ spanning the wall lattice of the Hilbert scheme, the stratification
 bookkeeping of the indeterminacy locus, and two exhaustive integer
 searches certifying that v^(i) admits no decomposition into positive
 classes and no unexpected spherical class pairs against it.  Both
-searches walk x over the box |x|, |y| <= bound and solve for y in exact
-Python integers, so they cost O(bound + output) steps and never wrap.
+searches solve for y in exact Python integers, one x at a time, so they
+never wrap.  The spherical search walks x over the box |x|, |y| <= bound
+in O(bound) steps; the decomposition search walks only the x between 0
+and the target's x0, the whole searched region by construction, so for
+v^(i) (x0 = 1) it visits two values of x whatever the bound.
 """
 
 from __future__ import annotations
@@ -189,9 +192,10 @@ def positive_decomposition_search(
 
     Expected empty whenever n >= (i+1)(i+2); a nonempty result would mean
     the flopping wall degenerates, so callers treat it as a finding.
-    Pairs are listed by x ascending, then y.  Each x cuts y to one
-    interval in exact integers, so a call costs O(bound + output) steps
-    and O(output) memory.
+    Pairs are listed by x ascending, then y.  A decomposition of
+    v^(i) = 1*v - (i+1)*a has x = 0 or x = 1 (see ``_decompositions``),
+    and each x cuts y to one interval in exact integers, so a call costs
+    O(1 + output) steps and O(output) memory, whatever the bound.
     """
     if not 0 <= i:
         raise ValueError("i must be nonnegative")
@@ -217,13 +221,24 @@ def _decompositions(n: int, x0: int, y0: int, bound: int) -> list[tuple[int, int
     2(n-1)x^2 + 2xy - 2y^2 >= 0 reads (2y - x)^2 <= t*x^2 with t = 4n-3,
     and (w1, T) = p*x + q*y with p = 2(n-1)x0 + y0.  The cut
     1 <= (w1, T) <= T^2 - 1 also excludes w1 = 0 and w2 = 0.
+
+    Only x between 0 and x0 can occur.  A class of nonnegative square
+    pairing positively with T lies in the closed positive cone C, so w1
+    lies in C and in T - C.  C is bounded by the isotropic directions
+    (2, 1 +- sqrt(t)), so C meet (T - C) is the parallelogram with
+    vertices 0, T, P and Q, where P and Q are the meeting points of the
+    isotropic lines through 0 with those through T; their x-coordinates
+    are x0/2 -+ q/(2 sqrt(t)).  The cut needs T^2 >= 2, and
+    T^2 = (t*x0^2 - q^2)/2, so q < sqrt(t)*|x0|: both P and Q lie strictly
+    between 0 and x0, and so does every x of the parallelogram.  A call
+    therefore costs O(min(bound, |x0|) + output) steps.
     """
     t = 4 * n - 3
     p = 2 * (n - 1) * x0 + y0
     q = x0 - 2 * y0
     top = p * x0 + q * y0 - 1  # (w2, T) = T^2 - (w1, T) > 0
     out = []
-    for x in range(-bound, bound + 1):
+    for x in range(max(-bound, min(0, x0)), min(bound, max(0, x0)) + 1):
         r1 = math.isqrt(t * x * x)  # w1^2 >= 0:  |2y - x| <= r1
         r2 = math.isqrt(t * (x0 - x) ** 2)  # w2^2 >= 0:  |2y - (x - q)| <= r2
         lo = max(-bound, -((r1 - x) // 2), -((r2 - x + q) // 2), -((p * x - 1) // q))

@@ -234,6 +234,22 @@ def test_lemmas_runs_without_numpy():
     assert json.loads(proc.stdout)["surprises"] == []
 
 
+def test_scan_without_pool_does_not_import_it():
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(k3invol.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = (
+        "import sys; from k3invol.cli import main; "
+        "code = main(['scan', '--min-n', '2', '--max-n', '5', '--jobs', '1']); "
+        "sys.exit(code or 'concurrent.futures.process' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("C_n=1") == 4
+
+
 def test_pell_command(capsys):
     code, out, _ = run(capsys, ["pell", "--kind", "fundamental", "--d", "13", "--verify"])
     assert code == 0 and "(649,180)" in out

@@ -2,7 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from k3invol import lattice
 from k3invol.lattice import (
     E8_MINUS,
     U,
@@ -65,6 +68,12 @@ def oracle_acts_trivially(m):
     )
 
 
+def dense_mat_mul(a, b):
+    """Slow oracle: the textbook product, every row of a against every column of b."""
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a)
+
+
 def random_even_gram(rng, rank):
     g = [[0] * rank for _ in range(rank)]
     for i in range(rank):
@@ -125,6 +134,36 @@ def test_det_and_adjugate_match_fraction_oracle():
         assert lat.det == det
         assert lat.adjugate == tuple(tuple(det * x for x in row) for row in ginv)
     assert nondegenerate > 200
+
+
+# mostly zeros, like the Gram matrices and maps, with negative entries
+_sparse_entries = st.one_of(st.just(0), st.just(0), st.integers(-9, 9))
+
+
+def _int_matrix(rows, cols):
+    return st.lists(
+        st.lists(_sparse_entries, min_size=cols, max_size=cols).map(tuple),
+        min_size=rows,
+        max_size=rows,
+    ).map(tuple)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_mat_mul_matches_dense_oracle(data):
+    m, k, p = (data.draw(st.integers(1, 6), label=name) for name in "mkp")
+    a = data.draw(_int_matrix(m, k), label="a")
+    b = data.draw(_int_matrix(k, p), label="b")
+    assert lattice._mat_mul(a, b) == dense_mat_mul(a, b)
+
+
+def test_mat_mul_matches_dense_oracle_on_period_lattice():
+    for n in (2, 7, 130):
+        g, adj = build_xi(n).gram, build_xi(n).adjugate
+        alpha = build_alpha(n).matrix
+        alpha_t = tuple(zip(*alpha))
+        for a, b in ((g, alpha), (alpha_t, g), (alpha, adj), (alpha, alpha_t)):
+            assert lattice._mat_mul(a, b) == dense_mat_mul(a, b)
 
 
 def test_transvection_preconditions():

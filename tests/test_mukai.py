@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -194,6 +197,34 @@ def test_generalized_targets_have_decompositions():
         if x0 - 2 * y0 > 0 and mukai._decompositions(n, x0, y0, 15)
     )
     assert with_parts > 300
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_decompositions_lie_between_zero_and_x0(data):
+    # the region the search restricts x to, checked on the literal double loop
+    n = data.draw(st.integers(2, 12), label="n")
+    x0 = data.draw(st.integers(-6, 6), label="x0")
+    y0 = data.draw(st.integers(x0 // 2 - 6, (x0 - 1) // 2), label="y0")  # q > 0
+    assert all(
+        min(0, x0) <= x <= max(0, x0) for x, _ in _positive_oracle(n, (x0, y0), 15)
+    )
+
+
+def test_positive_decomposition_cost_is_independent_of_bound():
+    # a loop over all 2*bound + 1 values of x would not finish
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mukai.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = (
+        "import sys; "
+        "from k3invol.mukai import MukaiContext, positive_decomposition_search; "
+        "sys.exit(positive_decomposition_search(MukaiContext(10**6), 0, 10**12) != [])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=20
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_positive_decomposition_validation():
