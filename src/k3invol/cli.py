@@ -5,8 +5,8 @@ Exit codes: 0 success, 1 usage or computation error, 2 mathematically
 surprising finding (a chamber count above 1, a congruence-mode
 disagreement, or a lemma search returning something unexpected).
 
-Environment: JOBS sets the default worker count for scans, COLOR=1
-turns on ANSI styling for text output on a terminal.
+Environment: COLOR=1 turns on ANSI styling for text output on a
+terminal.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import math
 import os
 import sys
 
-from . import hilbcone, lattice, mukai, pell, sigma
+from . import hilbcone, kernel, lattice, mukai, pell, sigma
 
 VERIFIED_SCAN_MAX = 200  # chamber counts at or below this n are the established baseline
 
@@ -86,7 +86,9 @@ def _wall_line(rec: hilbcone.WallRecord) -> str:
 
 def cmd_scan(args) -> int:
     full = args.mode == "full"
-    rows = hilbcone.scan_rows(args.min_n, args.max_n, jobs=args.jobs)
+    if args.jobs < 1:
+        raise ValueError("jobs must be at least 1")
+    rows = hilbcone.scan_rows(args.min_n, args.max_n)
     table = [(r.n, r.c_full if full else r.c_appendix) for r in rows]
     findings: list[str] = []
     for r, (n, c) in zip(rows, table):
@@ -169,10 +171,8 @@ def _verify_walls(n: int, walls, full: bool) -> int:
         hilbcone.WallRecord.build(n, w.rho, w.alpha, w.X, w.Y)  # re-runs invariants
         checks += 1
     if full:
-        t = 4 * n - 3
         for x, y in rays:
-            mx = (2 * t - 1) * x - 8 * t * (n - 1) * y
-            my = 2 * x - (8 * n - 7) * y
+            mx, my = kernel.mirror(n, x, y)
             g = math.gcd(mx, my)
             if (mx // g, my // g) not in rays:
                 print("verify: FAIL involution stability", file=sys.stderr)
@@ -541,7 +541,12 @@ def build_parser() -> _Parser:
     p = sub.add_parser("scan", help="chamber counts C_n over a range of n")
     p.add_argument("--min-n", type=int, required=True)
     p.add_argument("--max-n", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=None)
+    p.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="accepted for old scripts; scans run in one process",
+    )
     _add_common(p, with_mode=True)
     p.set_defaults(func=cmd_scan)
 

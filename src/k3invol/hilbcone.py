@@ -29,18 +29,13 @@ finding, not an error.
 
 from __future__ import annotations
 
-import logging
 import math
-import os
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from . import kernel
 from .mukai import MukaiContext, MukaiVector, mukai_pairing
-
-logger = logging.getLogger(__name__)
 
 
 class DivisorClass(NamedTuple):
@@ -77,23 +72,6 @@ def movable_rays(n: int) -> tuple[DivisorClass, DivisorClass]:
         raise ValueError("n must be at least 2")
     t = 4 * n - 3
     return DivisorClass(1, 0), DivisorClass(2 * t - 1, -4 * t)
-
-
-def cattaneo_cases(n: int, appendix_compat: bool = False) -> list[tuple[int, int]]:
-    """The (rho, alpha) case list of the wall criterion.
-
-    A: rho = -1, alpha in [1, n-1]; B: rho = 0, alpha in [3, n-1];
-    C: rho in [1, floor((n-1)/4)], alpha in [4rho+1, n-1].  With
-    ``appendix_compat`` the C-family drops its top rho (replicating
-    ``range(1, int((n-1)/4))``); the omission is logged.
-    """
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    if appendix_compat and (n - 1) // 4 >= 1:
-        logger.debug(
-            "appendix-compat case list for n=%d drops rho=%d", n, (n - 1) // 4
-        )
-    return list(kernel.case_pairs(n, appendix_compat))
 
 
 @dataclass(frozen=True)
@@ -204,14 +182,6 @@ def _distinct_walls(n: int, solutions) -> list[WallRecord]:
     return sorted(by_ray.values(), key=lambda r: (r.slope, r.rho, r.alpha))
 
 
-def _resolve_jobs(jobs: Optional[int]) -> int:
-    if jobs is None:
-        jobs = int(os.environ.get("JOBS", "1") or "1")
-    if jobs < 1:
-        raise ValueError("jobs must be at least 1")
-    return jobs
-
-
 @dataclass(frozen=True)
 class ScanRow:
     """Per-n comparison of the two congruence modes."""
@@ -226,7 +196,7 @@ class ScanRow:
         return self.c_full != self.c_appendix
 
 
-def _scan_row_worker(n: int) -> ScanRow:
+def _scan_row(n: int) -> ScanRow:
     # one enumeration and one record per solution: the appendix mode sees a
     # filter of the full mode's solutions, all of them built (and validated)
     # by _distinct_walls, and only its distinct rays below the middle count
@@ -247,31 +217,10 @@ def _scan_row_worker(n: int) -> ScanRow:
     )
 
 
-def scan_rows(n_min: int, n_max: int, jobs: Optional[int] = None) -> list[ScanRow]:
-    """C_n in both modes for every n in [n_min, n_max], ordered by n whatever
-    the number of worker processes, with the below-middle records only the
-    full congruence can see (the witnesses of a mode disagreement)."""
+def scan_rows(n_min: int, n_max: int) -> list[ScanRow]:
+    """C_n in both modes for every n in [n_min, n_max], in n order, with the
+    below-middle records only the full congruence can see (the witnesses of
+    a mode disagreement)."""
     if not 2 <= n_min <= n_max:
         raise ValueError("need 2 <= n_min <= n_max")
-    jobs = _resolve_jobs(jobs)
-    ns = list(range(n_min, n_max + 1))
-    if jobs == 1 or len(ns) == 1:
-        rows = [_scan_row_worker(n) for n in ns]
-    else:
-        # looked up on the module, so that __getattr__ below imports it on
-        # first use and a replacement set on the module (perfbench counts
-        # pool tasks that way) is the one used
-        pool_type = sys.modules[__name__].ProcessPoolExecutor
-        with pool_type(max_workers=jobs) as pool:
-            rows = list(pool.map(_scan_row_worker, sorted(ns, reverse=True), chunksize=4))
-    return sorted(rows, key=lambda r: r.n)
-
-
-def __getattr__(name: str):
-    """Import the process pool on first use, as ``concurrent.futures`` does
-    itself, so a command that starts no pool never loads multiprocessing."""
-    if name != "ProcessPoolExecutor":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from concurrent.futures import ProcessPoolExecutor
-
-    return ProcessPoolExecutor
+    return [_scan_row(n) for n in range(n_min, n_max + 1)]

@@ -116,7 +116,7 @@ def _lower_half(n: int, t: int) -> list[tuple[int, int, int, int]]:
     return out
 
 
-def _mirror(n: int, x: int, y: int) -> tuple[int, int]:
+def mirror(n: int, x: int, y: int) -> tuple[int, int]:
     """The involution on rays X*H_n - 2tY*delta, in (X, Y) coordinates."""
     t = 4 * n - 3
     return (2 * t - 1) * x - 8 * t * (n - 1) * y, 2 * x - (2 * t - 1) * y
@@ -133,7 +133,7 @@ def interior_solutions(
     t = 4 * n - 3
     lower = _lower_half(n, t)
     out = lower + [
-        (rho, alpha, *_mirror(n, x, y)) for rho, alpha, x, y in lower if x > t * y
+        (rho, alpha, *mirror(n, x, y)) for rho, alpha, x, y in lower if x > t * y
     ]
     return select(n, sorted(out), full_congruence, appendix_cases)
 

@@ -77,6 +77,13 @@ def test_scan_usage_error(capsys):
     assert "error" in err
 
 
+def test_scan_jobs_below_one_is_an_error(capsys):
+    code, out, err = run(capsys, ["scan", "--min-n", "2", "--max-n", "3", "--jobs", "0"])
+    assert code == 1
+    assert out == ""
+    assert err == "k3invol: error: jobs must be at least 1\n"
+
+
 def test_scan_reports_disagreement_with_witness(capsys, monkeypatch):
     wall = hilbcone.WallRecord.build(3, -1, 1, 9, 1)
     fake = [
@@ -238,16 +245,17 @@ def test_scan_without_pool_does_not_import_it():
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(os.path.abspath(k3invol.__file__)))
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    code = (
-        "import sys; from k3invol.cli import main; "
-        "code = main(['scan', '--min-n', '2', '--max-n', '5', '--jobs', '1']); "
-        "sys.exit(code or 'concurrent.futures.process' in sys.modules)"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.count("C_n=1") == 4
+    for jobs in ("1", "4"):
+        code = (
+            "import sys; from k3invol.cli import main; "
+            f"code = main(['scan', '--min-n', '2', '--max-n', '5', '--jobs', '{jobs}']); "
+            "sys.exit(code or 'concurrent.futures.process' in sys.modules)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, (jobs, proc.stderr)
+        assert proc.stdout.count("C_n=1") == 4
 
 
 def test_pell_command(capsys):

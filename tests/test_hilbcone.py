@@ -10,7 +10,6 @@ from k3invol.hilbcone import (
     DivisorClass,
     WallRecord,
     bb_form,
-    cattaneo_cases,
     enumerate_walls,
     involution_action,
     middle_wall,
@@ -61,12 +60,12 @@ def test_movable_rays():
 
 
 def test_cattaneo_cases_examples():
-    assert cattaneo_cases(3) == [(-1, 1), (-1, 2)]
-    cases5 = cattaneo_cases(5)
+    assert list(kernel.case_pairs(3, False)) == [(-1, 1), (-1, 2)]
+    cases5 = list(kernel.case_pairs(5, False))
     assert [c for c in cases5 if c[0] == -1] == [(-1, a) for a in range(1, 5)]
     assert [c for c in cases5 if c[0] == 0] == [(0, 3), (0, 4)]
     assert [c for c in cases5 if c[0] >= 1] == []  # alpha range 4rho+1 > n-1
-    cases9 = cattaneo_cases(9)
+    cases9 = list(kernel.case_pairs(9, False))
     assert [c for c in cases9 if c[0] == 1] == [(1, a) for a in range(5, 9)]
     assert [c for c in cases9 if c[0] == 2] == []  # alpha in [9, 8] empty
 
@@ -74,9 +73,9 @@ def test_cattaneo_cases_examples():
 def test_cattaneo_cases_appendix_compat_drops_top_rho():
     # n = 10: floor((n-1)/4) = 2, and (2, 9) is a real case the literal
     # range(1, int((n-1)/4)) never visits
-    assert (2, 9) in cattaneo_cases(10)
-    assert (2, 9) not in cattaneo_cases(10, appendix_compat=True)
-    assert (1, 5) in cattaneo_cases(10, appendix_compat=True)
+    assert (2, 9) in kernel.case_pairs(10, False)
+    assert (2, 9) not in kernel.case_pairs(10, True)
+    assert (1, 5) in kernel.case_pairs(10, True)
 
 
 def test_middle_wall_record():
@@ -140,7 +139,7 @@ def test_wall_invariants_and_involution_stability():
 
 def test_chamber_count_examples():
     for n in (3, 47, 200):
-        (row,) = scan_rows(n, n, jobs=1)
+        (row,) = scan_rows(n, n)
         assert row.c_full == row.c_appendix == 1
 
 
@@ -152,10 +151,6 @@ def test_scan_chambers_range_and_validation():
         scan_rows(1, 4)
 
 
-def test_scan_chambers_jobs_deterministic():
-    assert scan_rows(2, 40, jobs=1) == scan_rows(2, 40, jobs=2)
-
-
 def test_each_wall_built_once(monkeypatch):
     calls = [0]
     build = WallRecord.build.__func__
@@ -165,7 +160,7 @@ def test_each_wall_built_once(monkeypatch):
         return build(cls, *args)
 
     monkeypatch.setattr(WallRecord, "build", classmethod(counting))
-    scan_rows(2, 60, jobs=1)
+    scan_rows(2, 60)
     assert calls[0] == 59  # one wall, the middle one, per n
     for full in (True, False):
         for n in (2, 3, 47):
@@ -198,7 +193,7 @@ def inject_full_only_witness(monkeypatch):
 
 def test_scan_reports_full_only_witness(monkeypatch, capsys):
     inject_full_only_witness(monkeypatch)
-    rows = {r.n: r for r in scan_rows(5, 9, jobs=1)}
+    rows = {r.n: r for r in scan_rows(5, 9)}
     assert sorted(rows) == [5, 6, 7, 8, 9]
     assert (rows[7].c_full, rows[7].c_appendix) == (2, 1)
     assert rows[7].disagreement
@@ -217,7 +212,7 @@ def test_kernel_matches_pell_reference():
         t = 4 * n - 3
         m = 2 * (n - 1)
         sols = kernel.interior_solutions(n, True, False)
-        for rho, alpha in cattaneo_cases(n):
+        for rho, alpha in kernel.case_pairs(n, False):
             a_val = alpha * alpha - 4 * rho * (n - 1)
             got = [(x, y) for r, a, x, y in sols if (r, a) == (rho, alpha)]
             if a_val <= 0:

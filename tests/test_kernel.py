@@ -93,5 +93,5 @@ def test_mirror_is_the_involution():
         n = rng.randint(2, 300)
         t = 4 * n - 3
         x, y = rng.randint(1, 10**6), rng.randint(1, 10**4)
-        mx, my = kernel._mirror(n, x, y)
+        mx, my = kernel.mirror(n, x, y)
         assert involution_action(n, DivisorClass(x, -2 * t * y)) == (mx, -2 * t * my)
