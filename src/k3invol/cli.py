@@ -4,9 +4,6 @@ Subcommands: scan, walls, sigma, strata, lemmas, pell, eichler, formulas.
 Exit codes: 0 success, 1 usage or computation error, 2 mathematically
 surprising finding (a chamber count above 1, a congruence-mode
 disagreement, or a lemma search returning something unexpected).
-
-Environment: COLOR=1 turns on ANSI styling for text output on a
-terminal.
 """
 
 from __future__ import annotations
@@ -16,8 +13,8 @@ import csv
 import io
 import json
 import math
-import os
 import sys
+from functools import cache
 
 from . import hilbcone, kernel, lattice, mukai, pell, sigma
 
@@ -33,16 +30,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_ERROR)
-
-
-def _color_enabled() -> bool:
-    return os.environ.get("COLOR", "") in ("1", "yes", "always")
-
-
-def _style(text: str, code: str) -> str:
-    if _color_enabled() and sys.stdout.isatty():
-        return f"\x1b[{code}m{text}\x1b[0m"
-    return text
 
 
 def _emit_json(obj) -> None:
@@ -123,7 +110,7 @@ def cmd_scan(args) -> int:
             suffix = "  [extension]" if n > VERIFIED_SCAN_MAX else ""
             print(f"n={n} C_n={c}{suffix}")
         for f in findings:
-            print(_style(f"FINDING: {f}", "31"))
+            print(f"FINDING: {f}")
     return EXIT_FINDING if findings else EXIT_OK
 
 
@@ -160,11 +147,11 @@ def cmd_walls(args) -> int:
         for w in walls:
             print(_wall_line(w))
     if args.verify:
-        return _verify_walls(args.n, walls, full)
+        return _verify_walls(args.n, walls, full, c_n)
     return EXIT_OK
 
 
-def _verify_walls(n: int, walls, full: bool) -> int:
+def _verify_walls(n: int, walls, full: bool, c_n: int) -> int:
     checks = 0
     rays = {w.primitive_ray() for w in walls}
     for w in walls:
@@ -178,7 +165,6 @@ def _verify_walls(n: int, walls, full: bool) -> int:
                 print("verify: FAIL involution stability", file=sys.stderr)
                 return EXIT_ERROR
         checks += 1
-        c_n = sum(1 for w in walls if w.below_middle) + 1
         if len(walls) != 2 * c_n - 1:
             print("verify: FAIL wall count symmetry", file=sys.stderr)
             return EXIT_ERROR
@@ -373,7 +359,7 @@ def cmd_lemmas(args) -> int:
         for i, c in positive_rows:
             print(f"positive decompositions i={i}: {c}")
         for s in surprises:
-            print(_style(f"FINDING: {s}", "31"))
+            print(f"FINDING: {s}")
     return EXIT_FINDING if surprises else EXIT_OK
 
 
@@ -447,7 +433,7 @@ def cmd_eichler(args) -> int:
     n = args.n
     alpha = lattice.build_alpha(n)  # construction verifies both image identities
     t = 4 * n - 3
-    b = lattice.xi_basis(n)
+    b = lattice.xi_basis(alpha.lattice)
     u, v, v1, ell = b["u"], b["v"], b["v1"], b["l"]
     fixed_in = u + t * v - 2 * ell
     fixed_out = alpha.apply(fixed_in)
@@ -526,15 +512,19 @@ def cmd_formulas(args) -> int:
 # ---------------------------------------------------------------- driver
 
 
-def _add_common(p, with_mode=False, with_verify=False):
-    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
+def _add_common(
+    p, with_mode=False, with_verify=False, formats=("text", "json", "csv")
+):
+    p.add_argument("--format", choices=formats, default="text")
     if with_mode:
         p.add_argument("--mode", choices=("appendix", "full"), default="full")
     if with_verify:
         p.add_argument("--verify", action="store_true")
 
 
+@cache
 def build_parser() -> _Parser:
+    """The parser of every subcommand, built on first use and then reused."""
     parser = _Parser(prog="k3invol", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -568,7 +558,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("lemmas", help="brute-force spherical/positive class searches")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--bound", type=int, default=50)
-    _add_common(p)
+    _add_common(p, formats=("text", "json"))
     p.set_defaults(func=cmd_lemmas)
 
     p = sub.add_parser("pell", help="Pell equation solvers")
@@ -582,7 +572,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("eichler", help="period-lattice isometry verification")
     p.add_argument("--n", type=int, required=True)
-    _add_common(p, with_verify=True)
+    _add_common(p, with_verify=True, formats=("text", "json"))
     p.set_defaults(func=cmd_eichler)
 
     p = sub.add_parser("formulas", help="dimension and degree formulas for one n")
@@ -593,8 +583,7 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OverflowError) as exc:

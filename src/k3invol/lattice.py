@@ -9,14 +9,14 @@ basis vector, so maps act on coordinate vectors by ordinary
 matrix-vector multiplication and compose by matrix multiplication.
 Dual-lattice arithmetic stays in integers: one fraction-free elimination
 gives det G and the adjugate det(G) * G^-1, and the discriminant check
-compares M * adj with adj modulo det G.
+compares M * adj with adj modulo det G.  Nothing is cached: a caller of
+``build_alpha(n)`` that also needs Xi(n) reads it from ``alpha.lattice``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 # Negated Cartan matrix of E8 (Bourbaki node ordering: chain
@@ -200,16 +200,15 @@ _IDX_U, _IDX_V, _IDX_U1, _IDX_V1 = 0, 1, 2, 3
 _IDX_ELL = 22
 
 
-@lru_cache(maxsize=None)
 def build_xi(n: int) -> IntegerLattice:
     if n < 2:
         raise ValueError("n must be at least 2")
     return build_lattice([U, U, U, E8_MINUS, E8_MINUS, -2 * (n - 1)])
 
 
-def xi_basis(n: int) -> dict[str, LatticeElement]:
-    """Named generators of Xi(n): the three hyperbolic pairs and l."""
-    lat = build_xi(n)
+def xi_basis(lat: IntegerLattice) -> dict[str, LatticeElement]:
+    """Named generators of the lattice Xi(n) = build_xi(n): the three
+    hyperbolic pairs and l."""
     names = {
         "u": _IDX_U,
         "v": _IDX_V,
@@ -237,7 +236,7 @@ def build_alpha(n: int) -> LatticeMap:
     transported through the same marking (H_n -> u + tv, delta -> l).
     """
     t = 4 * n - 3
-    b = xi_basis(n)
+    b = xi_basis(build_xi(n))
     u, v, u1, v1, ell = b["u"], b["v"], b["u1"], b["v1"], b["l"]
     w_prime = (t - 1) * v - 2 * ell
     alpha = (

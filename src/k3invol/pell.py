@@ -3,8 +3,9 @@
 Everything here works with arbitrary-precision integers; no floats are
 involved in any decision.  The walls of the movable cone, which solve
 generalized Pell equations X^2 - D*Y^2 = N with a congruence on X, are
-enumerated as Mukai classes by :mod:`k3invol.kernel`; the negative
-solver decides the finiteness verdicts of :mod:`k3invol.sigma`.
+enumerated as Mukai classes by :mod:`k3invol.kernel`.  The negative
+solver and the search for a prime == 3 (mod 4) decide the finiteness
+verdicts of :mod:`k3invol.sigma`.
 """
 
 from __future__ import annotations
@@ -65,15 +66,15 @@ def fundamental_solution(D: int) -> PellSolution:
     raise AssertionError("unreachable: Pell equation always has a solution")
 
 
-def negative_pell_minimal(D: int, trial_limit: int = 10**4) -> Optional[PellSolution]:
+def negative_pell_minimal(D: int) -> Optional[PellSolution]:
     """Minimal (x, y) > 0 with x^2 - D*y^2 = -1, or None if unsolvable.
 
-    Fast rejection: -1 is not a square modulo any prime p == 3 (mod 4),
-    so such a prime dividing D kills solvability; we look for one by
-    trial division up to ``trial_limit``.  The complete decision is the
-    parity of the continued-fraction period of sqrt(D): the minimal
-    solution, when it exists, is the convergent closing the first
-    (odd-length) period.
+    Fast rejection: -1 is not a square modulo 4 or modulo any prime
+    p == 3 (mod 4), so 4 or such a prime dividing D kills solvability; an
+    odd part == 3 (mod 4) has one, and otherwise we look for one by trial
+    division up to 10^4.  The complete decision is the parity of the
+    continued-fraction period of sqrt(D): the minimal solution, when it
+    exists, is the convergent closing the first (odd-length) period.
     """
     if D <= 0:
         raise ValueError("D must be positive")
@@ -81,7 +82,8 @@ def negative_pell_minimal(D: int, trial_limit: int = 10**4) -> Optional[PellSolu
         raise ValueError("D must not be a perfect square")
     if D % 4 == 0:
         return None  # x^2 == -1 (mod 4) is impossible
-    if _has_small_prime_factor_3_mod_4(D, trial_limit):
+    odd = D if D % 2 else D // 2  # D % 4 != 0: at most one factor 2
+    if odd % 4 == 3 or smallest_prime_factor_3_mod_4(odd, 10**4) is not None:
         return None
     a0 = math.isqrt(D)
     for p, q, a in _sqrt_cf_convergents(D):
@@ -111,22 +113,30 @@ def has_smaller_solution(D: int, rhs: int, y: int) -> bool:
             return q < y
 
 
-def _has_small_prime_factor_3_mod_4(m: int, limit: int) -> bool:
-    """Trial division only; False means "none found", not "none exists"."""
+def smallest_prime_factor_3_mod_4(m: int, limit: int | None = None) -> Optional[int]:
+    """Smallest prime p == 3 (mod 4) dividing m, by trial division; m != 0.
+
+    With ``limit`` only the primes up to it are tried, so None then means
+    "none found", not "none exists"; a prime above the limit is returned
+    only when it is the cofactor left once p^2 exceeds what remains of m.
+    """
+    m = abs(m)
     while m % 2 == 0:
         m //= 2
-    if m % 4 == 3:
-        # An odd integer == 3 (mod 4) always has a prime factor == 3 (mod 4).
-        return True
     p = 3
-    while p <= limit and p * p <= m:
+    while p * p <= m:
+        if limit is not None and p > limit:
+            return None
         if m % p == 0:
             if p % 4 == 3:
-                return True
+                return p
             while m % p == 0:
                 m //= p
         p += 2
-    return False
+    # every prime up to sqrt(m) is divided out, so m is 1 or a prime
+    if m % 4 == 3:
+        return m
+    return None
 
 
 def minimal_solution_mixed(

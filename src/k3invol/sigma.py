@@ -18,7 +18,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .mukai import MukaiContext, MukaiVector, mukai_pairing, standard_vectors
-from .pell import PellSolution, isqrt, negative_pell_minimal
+from .pell import (
+    PellSolution,
+    isqrt,
+    negative_pell_minimal,
+    smallest_prime_factor_3_mod_4,
+)
 
 
 class BirStatus(enum.Enum):
@@ -99,49 +104,30 @@ def positive_cone_rational(n: int) -> bool:
     return isqrt(delta)[1]
 
 
-def smallest_prime_factor_3_mod_4(m: int) -> Optional[int]:
-    m = abs(m)
-    while m % 2 == 0:
-        m //= 2
-    p = 3
-    while p * p <= m:
-        if m % p == 0:
-            if p % 4 == 3:
-                return p
-            while m % p == 0:
-                m //= p
-        p += 2
-    if m > 1 and m % 4 == 3:
-        return m
-    return None
-
-
 def bir_finiteness(n: int) -> BirVerdict:
     """Finiteness verdict for the birational automorphism group.
 
-    n = 7: finite (rational positive-cone rays).  Otherwise finite when
-    the negative Pell equation X^2 - delta Y^2 = -1 is solvable, with
-    delta = t(n-3)/g^2 (the minimal solution is the witness: X*L + Y*kappa
-    is then a spherical class cutting a wall).  For n = 3n' the equation is
-    never solvable (delta has a prime factor p == 3 (mod 4)) and the group
-    is infinite.  The remaining cases are honestly unknown.
+    Finite when delta = t(n-3)/g^2 is a square (rational positive-cone
+    rays; among n >= 4 only n = 7).  Otherwise finite when the negative
+    Pell equation X^2 - delta Y^2 = -1 is solvable (the minimal solution
+    is the witness: X*L + Y*kappa is then a spherical class cutting a
+    wall).  For n = 3n' the equation is never solvable and the group is
+    infinite; the obstruction is the smallest prime p == 3 (mod 4)
+    dividing delta.  The remaining cases are honestly unknown.
     """
     if n < 4:
         raise ValueError("requires n >= 4")
     g, delta = _delta(n)
     w_div = math.gcd(3, math.gcd(2 * (4 * n - 3), n))
-    if n == 7:
+    if isqrt(delta)[1]:
+        # Rational rays.  16t(n-3) = (8n-15)^2 - 81, so delta = k^2 means
+        # (8n-15)^2 - (4gk)^2 = 81; the factor pairs 1*81 and 9*9 give
+        # n = 7 and n = 3, and 3*27 no integer n, so this is n = 7.
         return BirVerdict(
             status=BirStatus.FINITE, pell_d=delta, w_divisibility=w_div
         )
-    if isqrt(delta)[1]:
-        # square delta: (X - mY)(X + mY) = -1 has no positive solution
-        witness = None
-        solvable = False
-    else:
-        witness = negative_pell_minimal(delta)
-        solvable = witness is not None
-    if solvable:
+    witness = negative_pell_minimal(delta)
+    if witness is not None:
         return BirVerdict(
             status=BirStatus.FINITE,
             witness=witness,

@@ -192,7 +192,7 @@ def test_09_eichler_verification(capsys):
     for n in range(2, 101):
         t = 4 * n - 3
         alpha = lattice.build_alpha(n)  # image identities verified inside
-        b = lattice.xi_basis(n)
+        b = lattice.xi_basis(alpha.lattice)
         u, v, v1, ell = b["u"], b["v"], b["v1"], b["l"]
         assert alpha.apply(u + t * v - 2 * ell) == u + v
         kappa = 2 * (n - 1) * (u - v) + 4 * (n - 1) * v1 - ell

@@ -5,8 +5,10 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 import k3invol
-from k3invol import hilbcone, pell, sigma
+from k3invol import cli, hilbcone, pell, sigma
 from k3invol.pell import PellSolution, fundamental_solution, negative_pell_minimal
 from k3invol.cli import main
 
@@ -313,6 +315,48 @@ def test_eichler_command(capsys):
     code, out, _ = run(capsys, ["eichler", "--n", "4", "--format", "json"])
     obj = json.loads(out)
     assert obj["isometry"] is True and obj["discriminant_trivial"] is True
+
+
+def test_lemmas_and_eichler_reject_csv(capsys):
+    # both print only text or JSON, so csv is a usage error
+    for command in ("lemmas", "eichler"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--n", "6", "--format", "csv"])
+        assert exc.value.code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "invalid choice: 'csv'" in err, command
+
+
+def test_parser_built_once(capsys, monkeypatch):
+    built = []
+
+    class CountingParser(cli._Parser):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))  # subcommand parsers count too
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_Parser", CountingParser)
+    for argv in (["formulas", "--n", "5"], ["sigma", "--n", "7"], ["formulas", "--n", "6"]):
+        assert main(argv) == 0
+    capsys.readouterr()
+    assert built.count("k3invol") <= 1
+
+
+def test_reused_parser_leaks_nothing(capsys):
+    _, out, _ = run(
+        capsys,
+        ["scan", "--min-n", "2", "--max-n", "4", "--mode", "appendix", "--format", "json"],
+    )
+    assert json.loads(out)["mode"] == "appendix"
+    _, out, _ = run(capsys, ["scan", "--min-n", "2", "--max-n", "4", "--format", "json"])
+    assert json.loads(out)["mode"] == "full"
+    _, out, _ = run(capsys, ["scan", "--min-n", "2", "--max-n", "4"])
+    assert out.splitlines() == [f"n={n} C_n=1" for n in range(2, 5)]
+    code, out, _ = run(capsys, ["walls", "--n", "5", "--verify"])
+    assert code == 0 and "verify: 3 checks passed" in out
+    code, out, _ = run(capsys, ["walls", "--n", "5"])
+    assert code == 0 and "verify" not in out
 
 
 def test_formulas_command(capsys):

@@ -1,8 +1,9 @@
 import math
-import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from k3invol import kernel
 from k3invol.cli import main as cli_main
@@ -40,15 +41,19 @@ def test_involution_examples():
         assert involution_action(n, delta_img) == (0, 1)
 
 
-def test_involution_is_q_isometry_and_involution():
-    rng = random.Random(6)
-    for _ in range(300):
-        n = rng.randint(2, 100)
-        c = DivisorClass(rng.randint(-50, 50), rng.randint(-50, 50))
-        d = DivisorClass(rng.randint(-50, 50), rng.randint(-50, 50))
-        fc, fd = involution_action(n, c), involution_action(n, d)
-        assert bb_form(n, fc, fd) == bb_form(n, c, d)
-        assert involution_action(n, fc) == c
+_coefficients = st.integers(-(10**12), 10**12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(2, 10**9),
+    st.builds(DivisorClass, _coefficients, _coefficients),
+    st.builds(DivisorClass, _coefficients, _coefficients),
+)
+def test_involution_is_q_isometry_and_involution(n, c, d):
+    fc, fd = involution_action(n, c), involution_action(n, d)
+    assert bb_form(n, fc, fd) == bb_form(n, c, d)
+    assert involution_action(n, fc) == c
 
 
 def test_movable_rays():

@@ -54,6 +54,9 @@ def test_lower_half_matches_oracle_on_generalized_t(data):
     t = data.draw(st.integers(n - 1, 4 * n + n // 4), label="t")
     got = kernel._lower_half(n, t)
     assert len(set(got)) == len(got)
+    assert sorted(got) == sorted(
+        s for s in y_scan(n, True, False, t) if s[2] >= t * s[3]
+    )
     below = _strictly_below(got, t)
     for full in (True, False):
         for appendix in (False, True):

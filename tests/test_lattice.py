@@ -176,7 +176,7 @@ def test_transvection_preconditions():
 
 
 def test_transvection_examples():
-    b = xi_basis(3)
+    b = xi_basis(build_xi(3))
     u1, v = b["u1"], b["v"]
     t_map = transvection(u1, v)
     assert t_map.apply(u1) == u1  # formula collapses on u1 itself
@@ -221,7 +221,7 @@ def test_build_alpha_images_and_checks():
     for n in (2, 3, 5, 11):
         t = 4 * n - 3
         alpha = build_alpha(n)  # raises if either image identity fails
-        b = xi_basis(n)
+        b = xi_basis(alpha.lattice)
         u, v, v1, ell = b["u"], b["v"], b["v1"], b["l"]
         assert alpha.apply(u + t * v - 2 * ell) == u + v
         kappa = 2 * (n - 1) * (u - v) + 4 * (n - 1) * v1 - ell
@@ -232,7 +232,7 @@ def test_build_alpha_images_and_checks():
 
 def test_divisibility_examples():
     for n in (2, 3, 10):
-        b = xi_basis(n)
+        b = xi_basis(build_xi(n))
         assert divisibility(b["u"] + b["v"]) == 1
         assert divisibility(b["l"]) == 2 * (n - 1)
         assert divisibility(b["u"]) == 1

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from k3invol.pell import (
     PellSolution,
@@ -10,6 +12,7 @@ from k3invol.pell import (
     isqrt,
     minimal_solution_mixed,
     negative_pell_minimal,
+    smallest_prime_factor_3_mod_4,
 )
 from pell_reference import (
     GeneralizedPellProblem,
@@ -129,6 +132,54 @@ def test_negative_pell_properties():
                 assert m % 4 != 3
         else:
             assert brute is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 10**5).filter(lambda d: not isqrt(d)[1]))
+def test_pell_solvers_are_minimal(d):
+    fund = fundamental_solution(d)
+    assert fund.x * fund.x - d * fund.y * fund.y == 1
+    assert not has_smaller_solution(d, 1, fund.y)
+    neg = negative_pell_minimal(d)
+    if neg is None:
+        # the square of a solution of x^2 - dy^2 = -1 solves the +1
+        # equation with a larger y, so some would lie below the fundamental one
+        assert not has_smaller_solution(d, -1, fund.y)
+    else:
+        assert neg.x * neg.x - d * neg.y * neg.y == -1
+        assert not has_smaller_solution(d, -1, neg.y)
+
+
+def brute_smallest_prime_3_mod_4(m):
+    return next(
+        (
+            p
+            for p in range(3, m + 1, 4)
+            if m % p == 0 and all(p % q for q in range(2, isqrt(p)[0] + 1))
+        ),
+        None,
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 10**4), st.one_of(st.none(), st.integers(1, 120)))
+def test_smallest_prime_factor_3_mod_4_matches_factoring(m, limit):
+    expected = brute_smallest_prime_3_mod_4(m)
+    got = smallest_prime_factor_3_mod_4(m, limit)
+    if limit is None or expected is None or expected <= limit:
+        assert got == expected
+    else:
+        # past the limit, only a prime cofactor left by the division is found
+        assert got in (None, expected)
+
+
+def test_negative_pell_past_the_trial_limit():
+    # both factors are primes == 3 (mod 4) above the trial limit 10^4, and
+    # d == 1 (mod 4), so the continued-fraction period decides
+    d = 10007 * 10039
+    assert smallest_prime_factor_3_mod_4(d) == 10007
+    assert smallest_prime_factor_3_mod_4(d, 10**4) is None
+    assert negative_pell_minimal(d) is None
 
 
 def test_has_smaller_solution_matches_brute_force():
