@@ -1,23 +1,25 @@
 """Even integer lattices, Eichler transvections, and the period-lattice check.
 
-Matrices are plain tuples of tuples of Python ints (the largest lattice
-used has rank 23).  Gram matrices, transvections and the period map have
-only a few nonzero entries per row, so a matrix product, still exact,
-builds each row from the nonzero entries of the left factor alone.  A
-map is stored column-wise: the j-th column is the image of the j-th
-basis vector, so maps act on coordinate vectors by ordinary
-matrix-vector multiplication and compose by matrix multiplication.
-Dual-lattice arithmetic stays in integers: one fraction-free elimination
-gives det G and the adjugate det(G) * G^-1, and the discriminant check
-compares M * adj with adj modulo det G.  Nothing is cached: a caller of
-``build_alpha(n)`` that also needs Xi(n) reads it from ``alpha.lattice``.
+A lattice is an orthogonal sum of summands U, E8(-1) and rank-one <d>, and
+is built only from that list; its Gram matrix is block diagonal.  U and
+E8(-1) are unimodular, so the discriminant group L*/L comes from the
+rank-one summands alone, and the discriminant check reads one column of
+the map per summand <d>, modulo d.  Matrices are plain tuples of tuples
+of Python ints (the largest lattice used has rank 23).  Gram matrices,
+transvections and the period map have only a few nonzero entries per
+row, and most vectors have only a few nonzero coordinates, so products
+skip the zeros and stay exact.  A map is stored column-wise: the j-th
+column is the image of the j-th basis vector, so maps act on coordinate
+vectors by ordinary matrix-vector multiplication and compose by matrix
+multiplication.  Nothing is cached: a caller of ``build_alpha(n)`` that
+also needs Xi(n) reads it from ``alpha.lattice``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 # Negated Cartan matrix of E8 (Bourbaki node ordering: chain
 # 1-3-4-5-6-7-8 with node 2 attached to node 4); unimodular, even,
@@ -37,35 +39,54 @@ def _e8_minus_gram() -> tuple[tuple[int, ...], ...]:
 
 E8_MINUS = "E8(-1)"
 U = "U"
+_BLOCKS = {U: ((0, 1), (1, 0)), E8_MINUS: _e8_minus_gram()}
 
 
 @dataclass(frozen=True)
 class IntegerLattice:
-    """Even nondegenerate lattice given by its Gram matrix.
+    """Even nondegenerate lattice, the orthogonal sum of ``summands``: each
+    is "U", "E8(-1)" or a nonzero even integer d, meaning the rank-one
+    lattice <d>.
 
-    ``det`` and ``adjugate`` (det * gram^-1, an integer matrix) come from
-    one elimination, run once when the lattice is built."""
+    ``gram`` is the block-diagonal Gram matrix and ``rank_one`` lists
+    (j, d) for each summand <d>, with j its basis index; both are derived
+    from the summands, which are also what equality compares."""
 
-    gram: tuple[tuple[int, ...], ...]
-    det: int = field(init=False, compare=False)
-    adjugate: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    summands: tuple
+    gram: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    rank_one: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        g = self.gram
-        r = len(g)
-        if r == 0 or any(len(row) != r for row in g):
-            raise ValueError("gram must be square and nonempty")
-        for i in range(r):
-            if g[i][i] % 2:
+        summands = tuple(self.summands)
+        if not summands:
+            raise ValueError("at least one summand is required")
+        blocks, rank_one, rank = [], [], 0
+        for s in summands:
+            if isinstance(s, str) and s in _BLOCKS:
+                blocks.append(_BLOCKS[s])
+            elif isinstance(s, int):
+                if s == 0:
+                    raise ValueError("rank-one summands must be nonzero (nondegenerate)")
+                rank_one.append((rank, s))
+                blocks.append(((s,),))
+            else:
+                raise ValueError(f"unknown summand {s!r}")
+            rank += len(blocks[-1])
+        gram = [[0] * rank for _ in range(rank)]
+        off = 0
+        for b in blocks:
+            for i, row in enumerate(b):
+                gram[off + i][off : off + len(row)] = row
+            off += len(b)
+        for i in range(rank):
+            if gram[i][i] % 2:
                 raise ValueError("diagonal entries must be even (even lattice)")
             for j in range(i):
-                if g[i][j] != g[j][i]:
+                if gram[i][j] != gram[j][i]:
                     raise ValueError("gram must be symmetric")
-        det, adj = _adjugate(g)
-        if det == 0:
-            raise ValueError("gram must be nondegenerate")
-        object.__setattr__(self, "det", det)
-        object.__setattr__(self, "adjugate", adj)
+        object.__setattr__(self, "summands", summands)
+        object.__setattr__(self, "gram", tuple(tuple(row) for row in gram))
+        object.__setattr__(self, "rank_one", tuple(rank_one))
 
     @property
     def rank(self) -> int:
@@ -138,34 +159,6 @@ class LatticeMap:
         )
 
 
-def build_lattice(summands: Iterable) -> IntegerLattice:
-    """Block-diagonal lattice from summands "U", "E8(-1)" or an even integer d
-    (meaning the rank-one lattice <d>)."""
-    blocks = []
-    for s in summands:
-        if s == U:
-            blocks.append(((0, 1), (1, 0)))
-        elif s == E8_MINUS:
-            blocks.append(_e8_minus_gram())
-        elif isinstance(s, int):
-            if s % 2:
-                raise ValueError("rank-one summands must have even degree")
-            blocks.append(((s,),))
-        else:
-            raise ValueError(f"unknown summand {s!r}")
-    if not blocks:
-        raise ValueError("at least one summand is required")
-    rank = sum(len(b) for b in blocks)
-    gram = [[0] * rank for _ in range(rank)]
-    off = 0
-    for b in blocks:
-        for i, row in enumerate(b):
-            for j, entry in enumerate(row):
-                gram[off + i][off + j] = entry
-        off += len(b)
-    return IntegerLattice(tuple(tuple(row) for row in gram))
-
-
 def transvection(x: LatticeElement, y: LatticeElement) -> LatticeMap:
     """Eichler transvection t(x, y): z -> z - (y,z)x + (x,z)y - (y,y)/2 (x,z)x.
 
@@ -181,12 +174,16 @@ def transvection(x: LatticeElement, y: LatticeElement) -> LatticeMap:
     gx = _mat_vec(lat.gram, x.coords)
     gy = _mat_vec(lat.gram, y.coords)
     h = y.square() // 2  # integral: the lattice is even
-    # entry (i, j) is coordinate i of t(e_j), with (x, e_j) = gx[j], (y, e_j) = gy[j]
-    m = tuple(
-        tuple(int(i == j) - gy[j] * xi + gx[j] * (yi - h * xi) for j in range(lat.rank))
-        for i, (xi, yi) in enumerate(zip(x.coords, y.coords))
-    )
-    out = LatticeMap(lat, m)
+    # entry (i, j) is coordinate i of t(e_j), with (x, e_j) = gx[j], (y, e_j) = gy[j];
+    # row i is that of the identity unless x or y has a coordinate i
+    m = []
+    for i, (xi, yi) in enumerate(zip(x.coords, y.coords)):
+        row = [0] * lat.rank
+        row[i] = 1
+        if xi or yi:
+            row = [e - b * xi + a * (yi - h * xi) for e, a, b in zip(row, gx, gy)]
+        m.append(tuple(row))
+    out = LatticeMap(lat, tuple(m))
     if not out.is_isometry():
         raise AssertionError("transvection failed the Gram check")
     return out
@@ -203,7 +200,7 @@ _IDX_ELL = 22
 def build_xi(n: int) -> IntegerLattice:
     if n < 2:
         raise ValueError("n must be at least 2")
-    return build_lattice([U, U, U, E8_MINUS, E8_MINUS, -2 * (n - 1)])
+    return IntegerLattice((U, U, U, E8_MINUS, E8_MINUS, -2 * (n - 1)))
 
 
 def xi_basis(lat: IntegerLattice) -> dict[str, LatticeElement]:
@@ -264,19 +261,23 @@ def divisibility(e: LatticeElement) -> int:
 def acts_trivially_on_discriminant(m: LatticeMap) -> bool:
     """Whether m fixes every dual vector modulo the integral lattice.
 
-    In coordinates, z lies in the dual L* exactly when G z is integral, so
-    L* = G^-1 Z^r is generated by the columns of G^-1.  An isometry maps L*
-    onto itself, and it fixes L*/L pointwise exactly when (M - I) G^-1 is an
-    integer matrix.  With d = det G and adj = d G^-1 (an integer matrix)
-    that reads (M - I) adj == 0 (mod d), i.e. M adj == adj entrywise mod d.
+    In coordinates, z lies in the dual L* exactly when G z is integral,
+    so L* = G^-1 Z^r.  G is block diagonal, so G^-1 is too: the inverse
+    of a unimodular block (U, E8(-1)) is an integer matrix, and the
+    inverse of a block <d> at index j is 1/d.  Hence L* = L + sum_j Z e_j/d,
+    and L*/L is the direct sum of the cyclic groups of order |d| generated
+    by e_j/d, one per rank-one summand (d != 0 is what makes L
+    nondegenerate).  An isometry maps L* onto itself, so it fixes L*/L
+    pointwise exactly when it fixes each generator: (M - I) e_j/d lies in
+    L, i.e. column j of M - I is == 0 (mod d).  For Xi(n) that is the
+    column of l, modulo 2(n-1).
     """
     if not m.is_isometry():
         raise ValueError("the map must be an isometry")
-    d, adj = m.lattice.det, m.lattice.adjugate
     return all(
-        (x - y) % d == 0
-        for moved, row in zip(_mat_mul(m.matrix, adj), adj)
-        for x, y in zip(moved, row)
+        (row[j] - (i == j)) % d == 0
+        for j, d in m.lattice.rank_one
+        for i, row in enumerate(m.matrix)
     )
 
 
@@ -297,36 +298,6 @@ def _mat_mul(a, b):
 
 
 def _mat_vec(m, v) -> list[int]:
-    return [sum(a * c for a, c in zip(row, v)) for row in m]
-
-
-def _adjugate(g) -> tuple[int, tuple[tuple[int, ...], ...] | None]:
-    """(det g, adj g) of a square integer matrix, adj g = det(g) * g^-1.
-
-    Bareiss (fraction-free) Gauss-Jordan elimination on [g | I]: at step
-    k every row i != k becomes (p_k * row_i - a_ik * row_k) / p_(k-1),
-    with p_k the k-th pivot.  The division is exact (each entry is a minor
-    of the augmented matrix), so all entries stay integers.  Row swaps in
-    the pivot search amount to starting from [P g | P]; the elimination
-    ends at [d I | R] with d = det(P g) = sign(P) det g, and the row
-    operations E with E P g = d I give R = E P = d g^-1.  Returns
-    (0, None) for a singular g.
-    """
-    n = len(g)
-    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(g)]
-    sign, prev = 1, 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k]), None)
-        if piv is None:
-            return 0, None
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        pivot_row = a[k]
-        p = pivot_row[k]
-        for i in range(n):
-            if i != k:
-                f = a[i][k]
-                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], pivot_row)]
-        prev = p
-    return sign * prev, tuple(tuple(sign * x for x in row[n:]) for row in a)
+    """m * v, summing over the nonzero coordinates of v alone."""
+    nonzero = [(j, c) for j, c in enumerate(v) if c]
+    return [sum(row[j] * c for j, c in nonzero) for row in m]

@@ -13,6 +13,12 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Optional
 
+# Longest continued-fraction period of sqrt(D) that fundamental_solution
+# walks.  The solution grows by about half a decimal digit per term (Levy's
+# constant), so a longer period means a solution of thousands of digits,
+# and periods near sqrt(D) would take longer than any caller can wait.
+MAX_PERIOD = 10**4
+
 
 class PellSolution(NamedTuple):
     x: int
@@ -54,15 +60,29 @@ def fundamental_solution(D: int) -> PellSolution:
     Computed from the continued-fraction expansion of sqrt(D); the
     fundamental solution is the first convergent satisfying the equation,
     reached at the end of the first period (or the second when the period
-    is odd).
+    is odd).  Only the convergents closing a period (those followed by the
+    partial quotient 2*a0) can satisfy it, so only those are tested.
+    Raises ValueError when the period is longer than MAX_PERIOD = 10^4
+    terms.
     """
     if D <= 0:
         raise ValueError("D must be positive")
     if isqrt(D)[1]:
         raise ValueError("D must not be a perfect square")
-    for p, q, _ in _sqrt_cf_convergents(D):
-        if q > 0 and p * p - D * q * q == 1:
-            return PellSolution(p, q)
+    a0 = math.isqrt(D)
+    period = None
+    for k, (p, q, a) in enumerate(_sqrt_cf_convergents(D)):
+        if k and a == 2 * a0:
+            period = period or k
+            x, y = prev
+            if x * x - D * y * y == 1:
+                return PellSolution(x, y)
+        elif period is None and k >= MAX_PERIOD:
+            raise ValueError(
+                f"the continued-fraction period of sqrt({D}) is longer than "
+                f"{MAX_PERIOD} terms; its fundamental solution is not computed"
+            )
+        prev = p, q
     raise AssertionError("unreachable: Pell equation always has a solution")
 
 
@@ -120,6 +140,8 @@ def smallest_prime_factor_3_mod_4(m: int, limit: int | None = None) -> Optional[
     "none found", not "none exists"; a prime above the limit is returned
     only when it is the cofactor left once p^2 exceeds what remains of m.
     """
+    if m == 0:
+        raise ValueError("m must be nonzero: every prime divides 0")
     m = abs(m)
     while m % 2 == 0:
         m //= 2

@@ -289,6 +289,28 @@ def test_pell_verify_is_fast_for_long_periods(capsys):
     assert elapsed < 5.0, f"pell --verify took {elapsed:.1f}s"
 
 
+def test_pell_fundamental_fails_fast_on_a_long_period():
+    # sqrt(10^25 + 3) has a period of about 10^12 terms; the command must
+    # stop at pell.MAX_PERIOD with an error, not walk it
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(k3invol.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    d = str(10**25 + 3)
+    code = (
+        "import sys; from k3invol.cli import main; "
+        f"sys.exit(main(['pell', '--kind', 'fundamental', '--d', '{d}']))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=20
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        f"k3invol: error: the continued-fraction period of sqrt({d}) is longer than "
+        "10000 terms; its fundamental solution is not computed\n"
+    )
+
+
 def test_pell_verify_rejects_non_minimal_solution(capsys, monkeypatch):
     # the square of the fundamental solution and the cube of the minimal
     # negative one solve the same equations but are not minimal

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -13,7 +14,6 @@ from k3invol.lattice import (
     LatticeMap,
     acts_trivially_on_discriminant,
     build_alpha,
-    build_lattice,
     build_xi,
     divisibility,
     transvection,
@@ -57,6 +57,48 @@ def fraction_inverse(g):
     return det, tuple(tuple(row[n:]) for row in a)
 
 
+def bareiss_adjugate(g):
+    """Slow oracle: (det g, adj g) of a square integer matrix, with
+    adj g = det(g) * g^-1, or (0, None) for a singular g.
+
+    Bareiss (fraction-free) Gauss-Jordan elimination on [g | I]: at step
+    k every row i != k becomes (p_k * row_i - a_ik * row_k) / p_(k-1),
+    with p_k the k-th pivot.  The division is exact (each entry is a minor
+    of the augmented matrix), so all entries stay integers.  Row swaps in
+    the pivot search amount to starting from [P g | P]; the elimination
+    ends at [d I | R] with d = det(P g) = sign(P) det g, and the row
+    operations E with E P g = d I give R = E P = d g^-1.
+    """
+    n = len(g)
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(g)]
+    sign, prev = 1, 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
+        if piv is None:
+            return 0, None
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        pivot_row = a[k]
+        p = pivot_row[k]
+        for i in range(n):
+            if i != k:
+                f = a[i][k]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], pivot_row)]
+        prev = p
+    return sign * prev, tuple(tuple(sign * x for x in row[n:]) for row in a)
+
+
+def adjugate_acts_trivially(m):
+    """Slow oracle: (M - I) G^-1 is integral, i.e. M adj == adj (mod det G)."""
+    d, adj = bareiss_adjugate(m.lattice.gram)
+    return all(
+        (x - y) % d == 0
+        for moved, row in zip(dense_mat_mul(m.matrix, adj), adj)
+        for x, y in zip(moved, row)
+    )
+
+
 def oracle_acts_trivially(m):
     """Slow oracle: (M - I) G^-1 has integer entries, computed in Fractions."""
     _, ginv = fraction_inverse(m.lattice.gram)
@@ -84,23 +126,48 @@ def random_even_gram(rng, rank):
 
 
 def test_build_lattice_examples():
-    u = build_lattice([U])
-    assert u.rank == 2 and u.det == -1
-    xi3 = build_lattice([U, U, U, E8_MINUS, E8_MINUS, -4])
-    assert xi3.rank == 23
-    assert abs(xi3.det) == 4  # = 2(n-1) for n = 3
-    two = build_lattice([2])
-    assert two.rank == 1 and two.det == 2
-    with pytest.raises(ValueError):
-        build_lattice([3])  # odd rank-one degree
-    with pytest.raises(ValueError):
-        build_lattice([])
+    u = IntegerLattice([U])
+    assert u.rank == 2 and u.rank_one == ()
+    assert bareiss_adjugate(u.gram)[0] == -1
+    xi3 = IntegerLattice([U, U, U, E8_MINUS, E8_MINUS, -4])
+    assert xi3.rank == 23 and xi3.rank_one == ((22, -4),)
+    assert xi3 == build_xi(3) and xi3 != build_xi(4)
+    assert abs(bareiss_adjugate(xi3.gram)[0]) == 4  # = 2(n-1) for n = 3
+    mix = IntegerLattice([2, 4, -6, U])
+    assert mix.summands == (2, 4, -6, U)
+    assert mix.rank_one == ((0, 2), (1, 4), (2, -6))
+    assert mix.gram == (
+        (2, 0, 0, 0, 0),
+        (0, 4, 0, 0, 0),
+        (0, 0, -6, 0, 0),
+        (0, 0, 0, 0, 1),
+        (0, 0, 0, 1, 0),
+    )
+    assert bareiss_adjugate(mix.gram)[0] == 2 * 4 * -6 * -1
+
+
+def test_lattice_from_random_summands_matches_oracle():
+    # the rank-one summands are all of det G up to sign, and G is even,
+    # symmetric and block diagonal
+    rng = random.Random(13)
+    for _ in range(100):
+        summands = [
+            rng.choice([U, E8_MINUS, 2 * rng.choice([-3, -2, -1, 1, 2, 5])])
+            for _ in range(rng.randint(1, 4))
+        ]
+        lat = IntegerLattice(summands)
+        g = lat.gram
+        assert g == tuple(zip(*g)) and all(g[i][i] % 2 == 0 for i in range(lat.rank))
+        degrees = [s for s in summands if isinstance(s, int)]
+        assert [d for _, d in lat.rank_one] == degrees
+        assert all(g[j][j] == d for j, d in lat.rank_one)
+        assert abs(bareiss_adjugate(g)[0]) == abs(math.prod(degrees))
 
 
 def test_e8_block_is_even_unimodular_negative_definite():
-    e8 = build_lattice([E8_MINUS])
+    e8 = IntegerLattice([E8_MINUS])
     assert e8.rank == 8
-    assert e8.det == 1
+    assert bareiss_adjugate(e8.gram)[0] == 1
     rng = random.Random(7)
     for _ in range(50):
         v = e8.element([rng.randint(-4, 4) for _ in range(8)])
@@ -110,29 +177,24 @@ def test_e8_block_is_even_unimodular_negative_definite():
 
 
 def test_lattice_validation():
-    with pytest.raises(ValueError):
-        IntegerLattice(((1,),))  # odd diagonal
-    with pytest.raises(ValueError):
-        IntegerLattice(((0, 1), (2, 0)))  # not symmetric
-    with pytest.raises(ValueError):
-        IntegerLattice(((0, 0), (0, 0)))  # degenerate
+    for bad in ([3], [U, -5], [0], [U, 0], [], ["V"], [2.0], [(0, 1)]):
+        # odd degree, zero degree (degenerate), empty, unknown summands
+        with pytest.raises(ValueError):
+            IntegerLattice(bad)
 
 
-def test_det_and_adjugate_match_fraction_oracle():
+def test_adjugate_oracle_matches_fraction_oracle():
     rng = random.Random(11)
     grams = [random_even_gram(rng, rng.randint(1, 6)) for _ in range(300)]
     grams += [build_xi(n).gram for n in (2, 3, 10)]
     nondegenerate = 0
     for g in grams:
         det, ginv = fraction_inverse(g)
+        assert bareiss_adjugate(g)[0] == det
         if det == 0:
-            with pytest.raises(ValueError):
-                IntegerLattice(g)
             continue
         nondegenerate += 1
-        lat = IntegerLattice(g)
-        assert lat.det == det
-        assert lat.adjugate == tuple(tuple(det * x for x in row) for row in ginv)
+        assert bareiss_adjugate(g)[1] == tuple(tuple(det * x for x in row) for row in ginv)
     assert nondegenerate > 200
 
 
@@ -157,9 +219,20 @@ def test_mat_mul_matches_dense_oracle(data):
     assert lattice._mat_mul(a, b) == dense_mat_mul(a, b)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_mat_vec_matches_dense_oracle(data):
+    m, k = (data.draw(st.integers(1, 6), label=name) for name in "mk")
+    a = data.draw(_int_matrix(m, k), label="a")
+    vector = _int_matrix(1, k).map(lambda rows: rows[0])
+    v = data.draw(st.one_of(st.just((0,) * k), vector), label="v")  # all-zero v too
+    assert lattice._mat_vec(a, v) == [sum(x * c for x, c in zip(row, v)) for row in a]
+
+
 def test_mat_mul_matches_dense_oracle_on_period_lattice():
     for n in (2, 7, 130):
-        g, adj = build_xi(n).gram, build_xi(n).adjugate
+        g = build_xi(n).gram
+        adj = bareiss_adjugate(g)[1]
         alpha = build_alpha(n).matrix
         alpha_t = tuple(zip(*alpha))
         for a, b in ((g, alpha), (alpha_t, g), (alpha, adj), (alpha, alpha_t)):
@@ -167,7 +240,7 @@ def test_mat_mul_matches_dense_oracle_on_period_lattice():
 
 
 def test_transvection_preconditions():
-    lat = build_lattice([U])
+    lat = IntegerLattice([U])
     e0, e1 = lat.basis_element(0), lat.basis_element(1)
     with pytest.raises(ValueError):
         transvection(e0 + e1, e0)  # (e0+e1)^2 = 2
@@ -190,7 +263,7 @@ def test_transvection_examples():
 
 def test_transvections_preserve_gram():
     rng = random.Random(8)
-    lat = build_lattice([U, U, -6, 2])
+    lat = IntegerLattice([U, U, -6, 2])
     for _ in range(100):
         pick = rng.choice([0, 2])  # u or u1, both isotropic
         x = lat.basis_element(pick)
@@ -202,7 +275,7 @@ def test_transvections_preserve_gram():
 
 def test_transvection_additivity_on_orthogonal_arguments():
     rng = random.Random(9)
-    lat = build_lattice([U, U, -4, 8])
+    lat = IntegerLattice([U, U, -4, 8])
     x = lat.basis_element(0)  # u of the first hyperbolic plane
     for _ in range(100):
         # (y, x) = 0 means no v-component of the first plane
@@ -242,7 +315,7 @@ def test_divisibility_examples():
 
 def test_divisibility_scaling():
     rng = random.Random(10)
-    lat = build_lattice([U, -8])
+    lat = IntegerLattice([U, -8])
     for _ in range(50):
         e = lat.element([rng.randint(-5, 5) for _ in range(3)])
         if e.is_zero():
@@ -266,35 +339,58 @@ def test_discriminant_action():
         assert oracle_acts_trivially(neg_ell) is expected
 
 
+def negate(lat, indices):
+    """-1 on the basis vectors at ``indices``, the identity elsewhere."""
+    return permutation_map(lat, [(-1 if j in indices else 1, j) for j in range(lat.rank)])
+
+
 # U + <-4> + <-4>: discriminant group (Z/4)^2.  Negating one <-4> summand
 # or swapping the two moves it.
-_U44 = build_lattice([U, -4, -4])
-# U(4) + U: discriminant group (Z/4)^2 with a hyperbolic form.  -1 on U(4)
-# moves it, yet (M - I) G^-1 has an integral diagonal and an integral last
-# column; only two off-diagonal entries, -1/2, are fractional.
-_U4U = IntegerLattice(((0, 4, 0, 0), (4, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0)))
+_U44 = IntegerLattice([U, -4, -4])
+# <2> + <4> + <-6> + U: discriminant group Z/2 + Z/4 + Z/6.  -1 on <2> is
+# trivial on Z/2 (read modulo 4 it would not be); -1 on <4> is not
+# (read modulo 2, or from the last rank-one summand alone, it would be).
+_MIX = IntegerLattice([2, 4, -6, U])
+# U + U + <-2>: discriminant group Z/2, on which -id acts trivially
+_UU2 = IntegerLattice([U, U, -2])
 DISCRIMINANT_CASES = [
     pytest.param(_U44, identity_map(_U44), True, id="U44-id"),
-    pytest.param(
-        _U44, permutation_map(_U44, [(1, 0), (1, 1), (1, 2), (-1, 3)]), False, id="U44-minus-l"
-    ),
+    pytest.param(_U44, negate(_U44, {3}), False, id="U44-minus-l"),
+    pytest.param(_U44, negate(_U44, {2}), False, id="U44-minus-first"),
     pytest.param(
         _U44, permutation_map(_U44, [(1, 0), (1, 1), (1, 3), (1, 2)]), False, id="U44-swap"
     ),
-    pytest.param(_U4U, identity_map(_U4U), True, id="U4U-id"),
+    pytest.param(_U44, negate(_U44, set(range(4))), False, id="U44-minus-id"),
+    pytest.param(_MIX, identity_map(_MIX), True, id="MIX-id"),
+    pytest.param(_MIX, negate(_MIX, {0}), True, id="MIX-minus-2"),
+    pytest.param(_MIX, negate(_MIX, {1}), False, id="MIX-minus-4"),
+    pytest.param(_MIX, negate(_MIX, {3, 4}), True, id="MIX-minus-U"),
+    pytest.param(_MIX, negate(_MIX, set(range(5))), False, id="MIX-minus-id"),
+    pytest.param(_UU2, negate(_UU2, set(range(5))), True, id="UU2-minus-id"),
     pytest.param(
-        _U4U, permutation_map(_U4U, [(-1, 0), (-1, 1), (1, 2), (1, 3)]), False, id="U4U-minus-U4"
+        _UU2,
+        permutation_map(_UU2, [(1, 2), (1, 3), (1, 0), (1, 1), (1, 4)]),
+        True,
+        id="UU2-swap-U",
     ),
 ]
-# hyperbolic pairs (a, b) of each lattice: e_a is isotropic and pairs only with e_b
-_HYPERBOLIC_PAIRS = {_U44: [(0, 1), (1, 0)], _U4U: [(0, 1), (1, 0), (2, 3), (3, 2)]}
+
+
+def hyperbolic_pairs(lat):
+    """Index pairs (a, b) of each U summand: e_a is isotropic and pairs only with e_b."""
+    out, off = [], 0
+    for s in lat.summands:
+        if s == U:
+            out += [(off, off + 1), (off + 1, off)]
+        off += 8 if s == E8_MINUS else 2 if s == U else 1
+    return out
 
 
 def random_transvections(rng, lat):
     """A product of one to three random Eichler transvections t(e_a, y)."""
     out = identity_map(lat)
     for _ in range(rng.randint(1, 3)):
-        a, b = rng.choice(_HYPERBOLIC_PAIRS[lat])
+        a, b = rng.choice(hyperbolic_pairs(lat))
         coords = [rng.randint(-3, 3) for _ in range(lat.rank)]
         coords[b] = 0  # (e_a, y) = 0
         out = out.compose(transvection(lat.basis_element(a), lat.element(coords)))
@@ -306,6 +402,7 @@ def test_discriminant_action_matches_oracle(lat, s_map, expected):
     assert s_map.is_isometry()
     assert acts_trivially_on_discriminant(s_map) is expected
     assert oracle_acts_trivially(s_map) is expected
+    assert adjugate_acts_trivially(s_map) is expected
     # Eichler transvections act trivially on the discriminant group, so
     # T1 o S o T2, a dense matrix, has the verdict of S
     rng = random.Random(12)
@@ -315,11 +412,11 @@ def test_discriminant_action_matches_oracle(lat, s_map, expected):
         )
         assert m.is_isometry()
         assert acts_trivially_on_discriminant(m) is expected
-        assert oracle_acts_trivially(m) is expected
+        assert adjugate_acts_trivially(m) is expected
 
 
 def test_discriminant_rejects_non_isometry():
-    lat = build_lattice([U])
+    lat = IntegerLattice([U])
     m = LatticeMap(lat, ((1, 1), (0, 1)))
     assert not m.is_isometry()
     with pytest.raises(ValueError):

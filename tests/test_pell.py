@@ -1,10 +1,14 @@
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from k3invol import pell
 from k3invol.pell import (
     PellSolution,
     fundamental_solution,
@@ -171,6 +175,35 @@ def test_smallest_prime_factor_3_mod_4_matches_factoring(m, limit):
     else:
         # past the limit, only a prime cofactor left by the division is found
         assert got in (None, expected)
+
+
+def test_smallest_prime_factor_3_mod_4_rejects_zero():
+    # in a child process with a timeout: a search that spins on m = 0
+    # must fail the test, not hang it
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pell.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = (
+        "from k3invol.pell import smallest_prime_factor_3_mod_4\n"
+        "try:\n"
+        "    smallest_prime_factor_3_mod_4(0)\n"
+        "except ValueError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=20
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_fundamental_stops_past_the_period_limit(monkeypatch):
+    # sqrt(61) = [7; 1, 4, 3, 1, 2, 2, 1, 3, 4, 1, 14]: period 11
+    monkeypatch.setattr(pell, "MAX_PERIOD", 11)
+    assert fundamental_solution(61) == (1766319049, 226153980)
+    monkeypatch.setattr(pell, "MAX_PERIOD", 10)
+    with pytest.raises(ValueError, match="longer than 10 terms"):
+        fundamental_solution(61)
 
 
 def test_negative_pell_past_the_trial_limit():
