@@ -4,19 +4,17 @@ Subcommands: scan, walls, sigma, strata, lemmas, pell, eichler, formulas.
 Exit codes: 0 success, 1 usage or computation error, 2 mathematically
 surprising finding (a chamber count above 1, a congruence-mode
 disagreement, or a lemma search returning something unexpected).
+Library modules are imported by the subcommand that uses them.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import math
 import sys
 from functools import cache
-
-from . import hilbcone, kernel, lattice, mukai, pell, sigma
 
 VERIFIED_SCAN_MAX = 200  # chamber counts at or below this n are the established baseline
 
@@ -37,6 +35,8 @@ def _emit_json(obj) -> None:
 
 
 def _emit_csv(header, rows) -> None:
+    import csv
+
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(header)
@@ -44,7 +44,7 @@ def _emit_csv(header, rows) -> None:
     sys.stdout.write(buf.getvalue())
 
 
-def _wall_obj(rec: hilbcone.WallRecord) -> dict:
+def _wall_obj(rec) -> dict:
     return {
         "rho": rec.rho,
         "alpha": rec.alpha,
@@ -55,7 +55,7 @@ def _wall_obj(rec: hilbcone.WallRecord) -> dict:
     }
 
 
-def _wall_line(rec: hilbcone.WallRecord) -> str:
+def _wall_line(rec) -> str:
     tag = ""
     if rec.is_middle:
         tag = "  [middle]"
@@ -72,6 +72,8 @@ def _wall_line(rec: hilbcone.WallRecord) -> str:
 
 
 def cmd_scan(args) -> int:
+    from . import hilbcone
+
     full = args.mode == "full"
     if args.jobs < 1:
         raise ValueError("jobs must be at least 1")
@@ -118,6 +120,8 @@ def cmd_scan(args) -> int:
 
 
 def cmd_walls(args) -> int:
+    from . import hilbcone
+
     full = args.mode == "full"
     walls = hilbcone.enumerate_walls(args.n, full_congruence=full)
     c_n = sum(1 for w in walls if w.below_middle) + 1
@@ -152,6 +156,8 @@ def cmd_walls(args) -> int:
 
 
 def _verify_walls(n: int, walls, full: bool, c_n: int) -> int:
+    from . import hilbcone, kernel
+
     checks = 0
     rays = {w.primitive_ray() for w in walls}
     for w in walls:
@@ -177,6 +183,8 @@ def _verify_walls(n: int, walls, full: bool, c_n: int) -> int:
 
 
 def cmd_sigma(args) -> int:
+    from . import sigma
+
     n = args.n
     ns = sigma.ns_sigma(n)
     verdict = sigma.bir_finiteness(n)
@@ -261,6 +269,8 @@ def cmd_sigma(args) -> int:
 
 
 def cmd_strata(args) -> int:
+    from . import mukai
+
     ctx = mukai.MukaiContext(args.n)
     rows = mukai.strata_table(ctx)
     if args.format == "json":
@@ -314,6 +324,8 @@ def cmd_strata(args) -> int:
 
 
 def cmd_lemmas(args) -> int:
+    from . import mukai
+
     ctx = mukai.MukaiContext(args.n)
     n = args.n
     bound = args.bound
@@ -367,6 +379,8 @@ def cmd_lemmas(args) -> int:
 
 
 def cmd_pell(args) -> int:
+    from . import pell
+
     if args.kind == "mixed":
         if args.p is None or args.q is None:
             print("pell --kind mixed requires --p and --q", file=sys.stderr)
@@ -430,6 +444,8 @@ def cmd_pell(args) -> int:
 
 
 def cmd_eichler(args) -> int:
+    from . import lattice
+
     n = args.n
     alpha = lattice.build_alpha(n)  # construction verifies both image identities
     t = 4 * n - 3
@@ -473,6 +489,8 @@ def cmd_eichler(args) -> int:
 
 
 def cmd_formulas(args) -> int:
+    from . import sigma
+
     n = args.n
     report = sigma.dimension_report(n)
     catalan = sigma.catalan_degree(n)

@@ -30,8 +30,7 @@ finding, not an error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from functools import cmp_to_key
 from typing import NamedTuple
 
 from . import kernel
@@ -74,8 +73,7 @@ def movable_rays(n: int) -> tuple[DivisorClass, DivisorClass]:
     return DivisorClass(1, 0), DivisorClass(2 * t - 1, -4 * t)
 
 
-@dataclass(frozen=True)
-class WallRecord:
+class WallRecord(NamedTuple):
     """One interior wall: its case, Pell solution, ray and derived vector."""
 
     n: int
@@ -85,7 +83,6 @@ class WallRecord:
     Y: int
     ray: DivisorClass
     a_vec: MukaiVector
-    slope: Fraction
 
     @classmethod
     def build(cls, n: int, rho: int, alpha: int, X: int, Y: int) -> "WallRecord":
@@ -108,8 +105,8 @@ class WallRecord:
             raise ValueError("derived vector has wrong square")
         if abs(mukai_pairing(ctx, v, a_vec)) != alpha:
             raise ValueError("derived vector has wrong pairing against v")
-        slope = Fraction(Y, X)
-        if not 0 < slope < Fraction(2, 2 * t - 1):
+        # X, Y > 0, so the slope test 0 < Y/X < 2/(2t-1) is Y(2t-1) < 2X
+        if not Y * (2 * t - 1) < 2 * X:
             raise ValueError("ray is not strictly inside the movable cone")
         return cls(
             n=n,
@@ -119,16 +116,15 @@ class WallRecord:
             Y=Y,
             ray=DivisorClass(X, -2 * t * Y),
             a_vec=a_vec,
-            slope=slope,
         )
 
     @property
-    def is_middle(self) -> bool:
-        return self.slope == Fraction(1, 4 * self.n - 3)
+    def is_middle(self) -> bool:  # Y/X == 1/t
+        return self.X == (4 * self.n - 3) * self.Y
 
     @property
-    def below_middle(self) -> bool:
-        return self.slope < Fraction(1, 4 * self.n - 3)
+    def below_middle(self) -> bool:  # Y/X < 1/t
+        return (4 * self.n - 3) * self.Y < self.X
 
     def primitive_ray(self) -> tuple[int, int]:
         return _primitive_ray(self.X, self.Y)
@@ -179,11 +175,13 @@ def _distinct_walls(n: int, solutions) -> list[WallRecord]:
             cur.alpha,
         ):
             by_ray[key] = rec
-    return sorted(by_ray.values(), key=lambda r: (r.slope, r.rho, r.alpha))
+    # distinct primitive rays have distinct slopes Y/X, so sorting by slope
+    # alone is a total order and needs no (rho, alpha) tie-break; X > 0, so
+    # Y1/X1 - Y2/X2 has the sign of Y1*X2 - Y2*X1
+    return sorted(by_ray.values(), key=cmp_to_key(lambda r, s: r.Y * s.X - s.Y * r.X))
 
 
-@dataclass(frozen=True)
-class ScanRow:
+class ScanRow(NamedTuple):
     """Per-n comparison of the two congruence modes."""
 
     n: int

@@ -20,11 +20,10 @@ v^(i) (x0 = 1) it visits two values of x whatever the bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class MukaiVector:
+class MukaiVector(NamedTuple):
     r: int
     c: int
     s: int
@@ -45,23 +44,19 @@ class MukaiVector:
         return self.r == 0 and self.c == 0 and self.s == 0
 
 
-@dataclass(frozen=True)
 class MukaiContext:
     """Fixes n >= 2; the polarization degree is 2t with t = 4n-3."""
 
-    n: int
+    __slots__ = ("n", "t")
 
-    def __post_init__(self):
-        if self.n < 2:
+    def __init__(self, n: int):
+        if n < 2:
             raise ValueError("n must be at least 2")
-
-    @property
-    def t(self) -> int:
-        return 4 * self.n - 3
+        self.n = n
+        self.t = 4 * n - 3
 
 
-@dataclass(frozen=True)
-class StrataRow:
+class StrataRow(NamedTuple):
     """One stratum of the indeterminacy locus, indexed by the filtration depth k."""
 
     k: int

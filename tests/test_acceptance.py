@@ -82,7 +82,7 @@ def test_03_middle_wall_everywhere(capsys):
         assert len(walls) == 1  # the single interior ray, of slope exactly 1/t
         (w,) = walls
         assert (w.rho, w.alpha, w.X, w.Y) == (-1, 1, t, 1)
-        assert w.slope == Fraction(1, t)
+        assert Fraction(w.Y, w.X) == Fraction(1, t)
         assert w.a_vec in (MukaiVector(2, -1, 2 * n - 1), MukaiVector(-2, 1, -(2 * n - 1)))
         ctx = MukaiContext(n)
         assert mukai_pairing(ctx, w.a_vec, w.a_vec) == -2

@@ -1,4 +1,4 @@
-import dataclasses
+import ast
 import json
 import os
 import subprocess
@@ -174,7 +174,7 @@ def test_strata_verify_reports_wrong_row(capsys, monkeypatch):
     from k3invol import mukai
 
     good = mukai.strata_table(mukai.MukaiContext(6))
-    bad = [good[0], dataclasses.replace(good[1], dim_Jk=good[1].dim_Jk + 1)]
+    bad = [good[0], good[1]._replace(dim_Jk=good[1].dim_Jk + 1)]
     monkeypatch.setattr(mukai, "strata_table", lambda ctx: bad)
     code, out, err = run(capsys, ["strata", "--n", "6", "--verify"])
     assert code == 1
@@ -194,11 +194,9 @@ def test_lemmas_command(capsys):
 
 
 def test_lemmas_surprise_exits_two(capsys, monkeypatch):
-    from k3invol import cli, mukai
+    from k3invol import mukai
 
-    monkeypatch.setattr(
-        cli.mukai, "spherical_search", lambda ctx, i, bound: [(0, 1), (5, 5)]
-    )
+    monkeypatch.setattr(mukai, "spherical_search", lambda ctx, i, bound: [(0, 1), (5, 5)])
     code, out, _ = run(capsys, ["lemmas", "--n", "7"])
     assert code == 2
     assert "FINDING" in out
@@ -258,6 +256,30 @@ def test_scan_without_pool_does_not_import_it():
         )
         assert proc.returncode == 0, (jobs, proc.stderr)
         assert proc.stdout.count("C_n=1") == 4
+
+
+def test_cli_loads_only_the_subcommands_modules():
+    # -S: no site hooks, so every module listed was loaded by k3invol
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(k3invol.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = (
+        "import sys; import k3invol.cli as cli; after_import = sorted(sys.modules); "
+        "rc = cli.main(['scan', '--min-n', '2', '--max-n', '30', '--format', 'json']); "
+        "sys.stderr.write(repr((rc, after_import, sorted(sys.modules))))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    rc, after_import, after_scan = ast.literal_eval(proc.stderr)
+    assert rc == 0 and len(json.loads(proc.stdout)["rows"]) == 29
+    heavy = {"dataclasses", "inspect", "fractions", "decimal", "csv"}
+    assert [m for m in after_import if m.startswith("k3invol.")] == ["k3invol.cli"]
+    assert heavy.isdisjoint(after_import)
+    assert {"k3invol.hilbcone", "k3invol.kernel", "k3invol.mukai"} <= set(after_scan)
+    unused = {"k3invol.lattice", "k3invol.pell", "k3invol.sigma", "dataclasses", "fractions"}
+    assert unused.isdisjoint(after_scan)
 
 
 def test_pell_command(capsys):

@@ -90,7 +90,7 @@ def test_middle_wall_record():
         assert (rec.rho, rec.alpha, rec.X, rec.Y) == (-1, 1, t, 1)
         assert rec.a_vec == MukaiVector(2, -1, 2 * n - 1)
         assert rec.ray == (t, -2 * t)
-        assert rec.slope == Fraction(1, t)
+        assert Fraction(rec.Y, rec.X) == Fraction(1, t)
         assert rec.is_middle and not rec.below_middle
 
 
@@ -102,6 +102,85 @@ def test_wall_record_validation():
     with pytest.raises(ValueError):
         # (51, 6) solves the case but sits on the cone boundary
         WallRecord.build(3, -1, 1, 51, 6)
+
+
+def _case_of(n, X, Y):
+    """The (rho, alpha, X, Y) with alpha = X mod 2(n-1) and rho solving the
+    case equation: it passes every check of WallRecord.build except,
+    possibly, the cone test, so any positive (X, Y) gives a candidate."""
+    m = 2 * (n - 1)
+    alpha = X % m
+    rho = (alpha * alpha - X * X + 4 * (4 * n - 3) * (n - 1) * Y * Y) // (2 * m)
+    return rho, alpha, X, Y
+
+
+@st.composite
+def _rays_near_the_tests(draw):
+    """(n, X, Y) positive, often within a few units of the middle wall
+    X = tY or of the cone boundary Y(2t-1) = 2X, where the exact tests flip."""
+    n = draw(st.integers(2, 10**4))
+    t = 4 * n - 3
+    k = draw(st.integers(1, 10**6))
+    d = draw(st.integers(-3, 3))
+    X, Y = draw(
+        st.sampled_from(
+            [
+                (t * k + d, k),
+                ((2 * t - 1) * k + d, 2 * k),
+                (draw(st.integers(1, 10**9)), draw(st.integers(1, 10**9))),
+            ]
+        )
+    )
+    return n, X, Y
+
+
+@settings(max_examples=500, deadline=None)
+@given(_rays_near_the_tests())
+def test_integer_slope_tests_match_fraction_oracle(ray):
+    n, X, Y = ray
+    t = 4 * n - 3
+    slope = Fraction(Y, X)
+    inside = slope < Fraction(2, 2 * t - 1)
+    try:
+        rec = WallRecord.build(n, *_case_of(n, X, Y))
+    except ValueError as exc:
+        assert not inside and "movable cone" in str(exc), exc
+        return
+    assert inside
+    assert rec.is_middle == (slope == Fraction(1, t))
+    assert rec.below_middle == (slope < Fraction(1, t))
+
+
+def test_enumerate_walls_sorted_by_fraction_slope():
+    for full in (True, False):
+        for n in range(2, 301):
+            slopes = [Fraction(w.Y, w.X) for w in enumerate_walls(n, full)]
+            assert slopes == sorted(slopes), (n, full)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(2, 200),
+    st.lists(st.tuples(st.integers(1, 50), st.integers(1, 100)), max_size=30),
+)
+def test_many_walls_sorted_and_deduplicated_like_fraction_oracle(n, pairs):
+    # real n have one wall each; inject many valid cases, on both sides of
+    # the middle wall and each also doubled, so that the sort and the
+    # per-ray deduplication see many rays and repeated ones
+    t = 4 * n - 3
+    inside = [((2 * t - 1) * Y // 2 + q, Y) for Y, q in pairs]  # Y(2t-1) < 2X
+    sols = [_case_of(n, k * X, k * Y) for k in (1, 2) for X, Y in inside]
+    best = {}
+    for sol in [(-1, 1, t, 1), *sols]:
+        rho, alpha, X, Y = sol
+        key = Fraction(Y, X)
+        if key not in best or (X, Y, rho, alpha) < best[key][2:] + best[key][:2]:
+            best[key] = sol
+    expected = [best[k] for k in sorted(best)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernel, "interior_solutions", lambda *a, **k: sols)
+        walls = enumerate_walls(n)
+    assert [(w.rho, w.alpha, w.X, w.Y) for w in walls] == expected
 
 
 def test_enumerate_walls_small_n():
@@ -118,7 +197,7 @@ def test_walls_unique_up_to_200():
         walls = enumerate_walls(n)
         assert len(walls) == 1
         assert walls[0].is_middle
-        assert walls[0].slope == Fraction(1, 4 * n - 3)
+        assert Fraction(walls[0].Y, walls[0].X) == Fraction(1, 4 * n - 3)
 
 
 def test_wall_invariants_and_involution_stability():
@@ -134,7 +213,7 @@ def test_wall_invariants_and_involution_stability():
                 w.alpha % (2 * (n - 1)),
                 (-w.alpha) % (2 * (n - 1)),
             )
-            assert 0 < w.slope < Fraction(2, 2 * t - 1)
+            assert 0 < Fraction(w.Y, w.X) < Fraction(2, 2 * t - 1)
             # mirror ray under the involution stays in the set
             mx = (2 * t - 1) * w.X - 8 * t * (n - 1) * w.Y
             my = 2 * w.X - (8 * n - 7) * w.Y
