@@ -13,18 +13,13 @@ above it by the involution.  The middle wall is always (rho, alpha) =
 wall rays of slope strictly below 1/t, so C_n = 1 means the nef cone
 reaches the middle.
 
-Two congruence modes exist throughout:
-
-* ``full``      - X == +-alpha (mod 2(n-1)), the complete criterion;
-* ``appendix``  - X is compared with alpha and 2(n-1) - alpha as plain
-  integers and the top rho of the C-family is dropped, replicating a
-  historical search program byte for byte.
-
-The appendix mode's solutions are a filter of the full mode's, so
-:func:`scan_rows`, the one scan path, enumerates and validates each n
+The kernel's walls are the complete criterion, X == +-alpha (mod 2(n-1))
+in every case: the ``full`` mode.  The ``appendix`` mode replays a
+historical search program; it sees the subset :func:`_appendix` keeps,
+so :func:`scan_rows`, the one scan path, enumerates and validates each n
 once and counts C_n in both modes from that.  Anything the full mode
-finds below the middle wall that the literal mode misses is a reportable
-finding, not an error.
+finds below the middle wall that the appendix mode misses is a
+reportable finding, not an error.
 """
 
 from __future__ import annotations
@@ -144,17 +139,34 @@ def enumerate_walls(n: int, full_congruence: bool = True) -> list[WallRecord]:
     """All distinct interior wall records, sorted by slope.
 
     Solutions come from the kernel's enumeration of wall classes over
-    all cases at once; records defining the same ray are deduplicated on
-    the primitive (X, Y).  The middle wall exists for every n; it is
-    inserted when the kernel does not return it, which happens exactly in
-    the literal congruence mode.
+    all cases at once, through :func:`_appendix` unless
+    ``full_congruence``; records defining the same ray are deduplicated
+    on the primitive (X, Y).  The middle wall exists for every n; it is
+    inserted when the filter drops it, which it always does.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    return _distinct_walls(
-        n,
-        kernel.interior_solutions(n, full_congruence, appendix_cases=not full_congruence),
-    )
+    solutions = kernel.interior_walls(n)
+    if not full_congruence:
+        solutions = _appendix(n, solutions)
+    return _distinct_walls(n, solutions)
+
+
+def _appendix(n: int, solutions) -> list[tuple[int, int, int, int]]:
+    """The (rho, alpha, X, Y) of ``solutions`` that the appendix mode sees.
+
+    It replays a historical search program byte for byte.  That program ran
+    the C-family over ``range(1, int((n-1)/4))``, which always omits the
+    top rho = floor((n-1)/4), and compared X with alpha and 2(n-1) - alpha
+    as plain integers, so a solution with X >= 2(n-1) in the right class
+    is invisible to it.  An interior ray has X >= t > 2(n-1), so
+    X = 2(n-1) - alpha never holds, and X = alpha makes a = (0, -Y, X), of
+    square 2tY^2, so rho = tY^2 is above the cut: no interior wall passes
+    the filter, and the mode's C_n is always 1.
+    """
+    rho_end = max(1, (n - 1) // 4)
+    m = 2 * (n - 1)
+    return [sol for sol in solutions if sol[0] < rho_end and sol[2] in (sol[1], m - sol[1])]
 
 
 def _distinct_walls(n: int, solutions) -> list[WallRecord]:
@@ -199,13 +211,9 @@ def _scan_row(n: int) -> ScanRow:
     # filter of the full mode's solutions, all of them built (and validated)
     # by _distinct_walls, and only its distinct rays below the middle count
     t = 4 * n - 3
-    solutions = kernel.interior_solutions(n, True, False)
+    solutions = kernel.interior_walls(n)
     below_full = [w for w in _distinct_walls(n, solutions) if w.below_middle]
-    app_rays = {
-        _primitive_ray(x, y)
-        for _, _, x, y in kernel.select(n, solutions, False, True)
-        if x > t * y
-    }
+    app_rays = {_primitive_ray(x, y) for _, _, x, y in _appendix(n, solutions) if x > t * y}
     extra = tuple(w for w in below_full if w.primitive_ray() not in app_rays)
     return ScanRow(
         n=n,

@@ -1,6 +1,9 @@
 """Wall-scan kernel: the interior wall solutions of every case of the criterion.
 
-For a case (rho, alpha) the walls of the movable cone are the solutions of
+The cases (rho, alpha) are rho = -1 with 1 <= alpha <= n-1, rho = 0 with
+3 <= alpha <= n-1, and 1 <= rho <= floor((n-1)/4) with
+4 rho + 1 <= alpha <= n-1.  For a case the walls of the movable cone are
+the solutions of
 
     X^2 - D Y^2 = A,   D = 4t(n-1),   A = alpha^2 - 4 rho (n-1),   t = 4n-3,
 
@@ -25,15 +28,13 @@ interval computations plus one step per solution.
 The upper half is its mirror: the involution (X, Y) -> ((2t-1)X -
 8t(n-1)Y, 2X - (2t-1)Y) preserves A and X mod 2(n-1) (2t-1 == 1), and
 swaps the solutions strictly below the middle with those strictly above.
-The appendix mode keeps the solutions whose X literally equals alpha or
-2(n-1) - alpha, in its shorter case list.
 
 Theorem (C_n = 1).  For t = 4n-3 the only solution on or below the
 middle is the middle wall (rho, alpha, X, Y) = (-1, 1, t, 1), so none lies
-strictly above it either and interior_solutions(n, True, False) is
-[(-1, 1, t, 1)] for every n >= 2.  Write m = n-1, so t = 4m+1, and
-d = s - mk, so |d| = alpha <= m.  Then rho = tY^2 - ks >= -1,
-X = 2mk + d >= tY and A = d^2 - 4m rho <= m(m+4).
+strictly above it either and interior_walls(n) is [(-1, 1, t, 1)] for
+every n >= 2.  Write m = n-1, so t = 4m+1, and d = s - mk, so
+|d| = alpha <= m.  Then rho = tY^2 - ks >= -1, X = 2mk + d >= tY and
+A = d^2 - 4m rho <= m(m+4).
 
 1. A >= tY^2 gives Y <= m.  Then X >= tY and d <= m give k >= 2Y; write
    k = 2Y + e with e >= 0.
@@ -56,28 +57,9 @@ from __future__ import annotations
 import math
 
 
-def case_pairs(n: int, appendix_cases: bool):
-    """Yield the (rho, alpha) case list for n.
-
-    With ``appendix_cases`` the C-family replicates the historical
-    program's ``range(1, int((n-1)/4))``, which always omits the top
-    value floor((n-1)/4); the default includes it.
-    """
-    for alpha in range(1, n):
-        yield -1, alpha
-    for alpha in range(3, n):
-        yield 0, alpha
-    rho_top = (n - 1) // 4
-    if appendix_cases:
-        rho_top -= 1
-    for rho in range(1, rho_top + 1):
-        for alpha in range(4 * rho + 1, n):
-            yield rho, alpha
-
-
 def _lower_half(n: int, t: int) -> list[tuple[int, int, int, int]]:
-    """(rho, alpha, X, Y) of every case of the full case list with X >= tY,
-    Y^2 < 4A and X == +-alpha (mod 2(n-1)), for X^2 - 4t(n-1)Y^2 = A.
+    """(rho, alpha, X, Y) of every case with X >= tY, Y^2 < 4A and
+    X == +-alpha (mod 2(n-1)), for X^2 - 4t(n-1)Y^2 = A.
 
     The movable cone needs t = 4n-3; any t >= n-1 gives a generalized
     problem with the same definitions.  Unordered, without duplicates.
@@ -122,32 +104,10 @@ def mirror(n: int, x: int, y: int) -> tuple[int, int]:
     return (2 * t - 1) * x - 8 * t * (n - 1) * y, 2 * x - (2 * t - 1) * y
 
 
-def interior_solutions(
-    n: int, full_congruence: bool, appendix_cases: bool
-) -> list[tuple[int, int, int, int]]:
-    """(rho, alpha, X, Y) for every case of the criterion, in case order.
-
-    ``full_congruence`` False keeps only X in {alpha, 2(n-1) - alpha};
-    ``appendix_cases`` drops the top rho of the C-family (see case_pairs).
-    """
+def interior_walls(n: int) -> list[tuple[int, int, int, int]]:
+    """(rho, alpha, X, Y) of every interior wall of every case, sorted."""
     t = 4 * n - 3
     lower = _lower_half(n, t)
-    out = lower + [
-        (rho, alpha, *mirror(n, x, y)) for rho, alpha, x, y in lower if x > t * y
-    ]
-    return select(n, sorted(out), full_congruence, appendix_cases)
-
-
-def select(
-    n: int, sols: list, full_congruence: bool, appendix_cases: bool
-) -> list[tuple[int, int, int, int]]:
-    """The solutions one mode sees: ``appendix_cases`` keeps rho in
-    [1, floor((n-1)/4) - 1] in the C-family, and without
-    ``full_congruence`` X must equal alpha or 2(n-1) - alpha."""
-    if appendix_cases:
-        rho_end = max(1, (n - 1) // 4)
-        sols = [sol for sol in sols if sol[0] < rho_end]
-    if not full_congruence:
-        m = 2 * (n - 1)
-        sols = [sol for sol in sols if sol[2] in (sol[1], m - sol[1])]
-    return sols
+    return sorted(
+        lower + [(rho, alpha, *mirror(n, x, y)) for rho, alpha, x, y in lower if x > t * y]
+    )

@@ -94,7 +94,9 @@ def negative_pell_minimal(D: int) -> Optional[PellSolution]:
     odd part == 3 (mod 4) has one, and otherwise we look for one by trial
     division up to 10^4.  The complete decision is the parity of the
     continued-fraction period of sqrt(D): the minimal solution, when it
-    exists, is the convergent closing the first (odd-length) period.
+    exists, is the convergent closing the first (odd-length) period, and
+    that convergent (followed by the partial quotient 2*a0) is the only
+    one tested.
     """
     if D <= 0:
         raise ValueError("D must be positive")
@@ -107,11 +109,11 @@ def negative_pell_minimal(D: int) -> Optional[PellSolution]:
         return None
     a0 = math.isqrt(D)
     for p, q, a in _sqrt_cf_convergents(D):
-        if p * p - D * q * q == -1:
-            return PellSolution(p, q)
-        if a == 2 * a0:
-            # First period closed without hitting -1: even period, no solution.
-            return None
+        if a == 2 * a0:  # not the first item, whose a is a0 >= 1
+            # an even period closes with +1: no solution
+            x, y = prev
+            return PellSolution(x, y) if x * x - D * y * y == -1 else None
+        prev = p, q
     raise AssertionError("unreachable")
 
 

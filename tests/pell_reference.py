@@ -4,7 +4,8 @@
 
 kept as a reference for the wall kernel (:mod:`k3invol.kernel`), together
 with a deliberately dumb double-loop oracle mirroring a published search
-program that cross-checks it.
+program that cross-checks it, and the case list (rho, alpha) of the wall
+criterion.
 """
 
 from __future__ import annotations
@@ -117,3 +118,22 @@ def solutions_bounded_oracle(
                 break
             y += 1
     return out
+
+
+def case_pairs(n: int, appendix_cases: bool):
+    """Yield the (rho, alpha) case list for n.
+
+    With ``appendix_cases`` the C-family replicates the historical
+    program's ``range(1, int((n-1)/4))``, which always omits the top
+    value floor((n-1)/4); the default includes it.
+    """
+    for alpha in range(1, n):
+        yield -1, alpha
+    for alpha in range(3, n):
+        yield 0, alpha
+    rho_top = (n - 1) // 4
+    if appendix_cases:
+        rho_top -= 1
+    for rho in range(1, rho_top + 1):
+        for alpha in range(4 * rho + 1, n):
+            yield rho, alpha

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from k3invol.cli import main as cli_main
 from k3invol.hilbcone import (
     DivisorClass,
     WallRecord,
+    _appendix,
     bb_form,
     enumerate_walls,
     involution_action,
@@ -18,7 +20,7 @@ from k3invol.hilbcone import (
     scan_rows,
 )
 from k3invol.mukai import MukaiVector
-from pell_reference import GeneralizedPellProblem, solutions_bounded
+from pell_reference import GeneralizedPellProblem, case_pairs, solutions_bounded
 
 
 def test_bb_form_examples():
@@ -65,12 +67,12 @@ def test_movable_rays():
 
 
 def test_cattaneo_cases_examples():
-    assert list(kernel.case_pairs(3, False)) == [(-1, 1), (-1, 2)]
-    cases5 = list(kernel.case_pairs(5, False))
+    assert list(case_pairs(3, False)) == [(-1, 1), (-1, 2)]
+    cases5 = list(case_pairs(5, False))
     assert [c for c in cases5 if c[0] == -1] == [(-1, a) for a in range(1, 5)]
     assert [c for c in cases5 if c[0] == 0] == [(0, 3), (0, 4)]
     assert [c for c in cases5 if c[0] >= 1] == []  # alpha range 4rho+1 > n-1
-    cases9 = list(kernel.case_pairs(9, False))
+    cases9 = list(case_pairs(9, False))
     assert [c for c in cases9 if c[0] == 1] == [(1, a) for a in range(5, 9)]
     assert [c for c in cases9 if c[0] == 2] == []  # alpha in [9, 8] empty
 
@@ -78,9 +80,9 @@ def test_cattaneo_cases_examples():
 def test_cattaneo_cases_appendix_compat_drops_top_rho():
     # n = 10: floor((n-1)/4) = 2, and (2, 9) is a real case the literal
     # range(1, int((n-1)/4)) never visits
-    assert (2, 9) in kernel.case_pairs(10, False)
-    assert (2, 9) not in kernel.case_pairs(10, True)
-    assert (1, 5) in kernel.case_pairs(10, True)
+    assert (2, 9) in case_pairs(10, False)
+    assert (2, 9) not in case_pairs(10, True)
+    assert (1, 5) in case_pairs(10, True)
 
 
 def test_middle_wall_record():
@@ -178,7 +180,7 @@ def test_many_walls_sorted_and_deduplicated_like_fraction_oracle(n, pairs):
             best[key] = sol
     expected = [best[k] for k in sorted(best)]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(kernel, "interior_solutions", lambda *a, **k: sols)
+        mp.setattr(kernel, "interior_walls", lambda n: sols)
         walls = enumerate_walls(n)
     assert [(w.rho, w.alpha, w.X, w.Y) for w in walls] == expected
 
@@ -266,13 +268,13 @@ def inject_full_only_witness(monkeypatch):
     """At n = 7, add (rho, alpha, X, Y) = (n-2, 2n, 4n-2, 1) to the kernel's
     solutions: it builds, lies below the middle wall, and the literal
     congruence mode cannot see it."""
-    real = kernel.interior_solutions
+    real = kernel.interior_walls
 
-    def with_witness(n, *args, **kwargs):
-        sols = real(n, *args, **kwargs)
+    def with_witness(n):
+        sols = real(n)
         return [*sols, (n - 2, 2 * n, 4 * n - 2, 1)] if n == 7 else sols
 
-    monkeypatch.setattr(kernel, "interior_solutions", with_witness)
+    monkeypatch.setattr(kernel, "interior_walls", with_witness)
 
 
 def test_scan_reports_full_only_witness(monkeypatch, capsys):
@@ -289,14 +291,62 @@ def test_scan_reports_full_only_witness(monkeypatch, capsys):
     assert "FINDING: mode disagreement: n=7 rho=5 alpha=14 X=26 Y=1" in out
 
 
+def test_appendix_filter_keeps_the_historical_cases():
+    # bare (rho, alpha, X, Y) tuples, not walls: no interior wall passes the
+    # filter (see _appendix), so its kept side is reachable only this way.
+    # n = 10: 2(n-1) = 18, and the cut is rho < floor(9/4) = 2
+    kept = [(-1, 3, 3, 1), (0, 5, 13, 1), (1, 5, 5, 1), (1, 7, 11, 2)]
+    dropped = [
+        (2, 9, 9, 1),  # the top rho, with literal X
+        (-1, 3, 21, 1),  # X == alpha (mod 18) but X >= 18
+        (0, 5, 31, 1),  # X == -alpha (mod 18) but X >= 18
+        (1, 7, 43, 2),  # X == alpha (mod 18), at Y = 2
+    ]
+    assert _appendix(10, [x for pair in zip(dropped, kept) for x in pair]) == kept
+    # n < 5: floor((n-1)/4) = 0, and the cut still keeps rho = -1 and 0
+    assert _appendix(4, [(0, 3, 3, 1), (1, 3, 3, 1), (-1, 1, 5, 1)]) == [
+        (0, 3, 3, 1),
+        (-1, 1, 5, 1),
+    ]
+
+
+def test_appendix_modes_agree_on_injected_walls(monkeypatch, capsys):
+    # valid walls at n = 13 (t = 49, 2(n-1) = 24, top rho 3) on both sides
+    # of the middle wall: X >= 2(n-1) in the right class below the cut, the
+    # top rho, and literal X = alpha, whose class (0, -Y, X) has rho = tY^2
+    n, t = 13, 49
+    below = [(1, 20, 52, 1), (3, 34, 58, 1), (t, 50, 50, 1)]
+    above = [(1, 21, 195, 4), (3, 61, 875, 18), (9 * t, 3 * t - 1, 3 * t - 1, 3)]
+    sols = sorted([(-1, 1, t, 1), *below, *above])
+    monkeypatch.setattr(kernel, "interior_walls", lambda n: sols)
+    assert all(X > t * Y for _, _, X, Y in below)
+    assert all(X < t * Y for _, _, X, Y in above)
+    assert _appendix(n, sols) == []  # every one of them is dropped
+
+    (row,) = scan_rows(n, n)
+    assert (row.c_full, row.c_appendix) == (1 + len(below), 1)
+    assert [(w.rho, w.alpha, w.X, w.Y) for w in row.full_only_below] == sorted(
+        below, key=lambda sol: Fraction(sol[3], sol[2])
+    )
+
+    walls = ["walls", "--n", str(n), "--format", "json"]
+    scan = ["scan", "--min-n", str(n), "--max-n", str(n), "--format", "json"]
+    for mode, c_n in (("appendix", row.c_appendix), ("full", row.c_full)):
+        assert cli_main([*walls, "--mode", mode]) == 0
+        assert json.loads(capsys.readouterr().out)["C_n"] == c_n, mode
+        code = cli_main([*scan, "--mode", mode])
+        assert json.loads(capsys.readouterr().out)["rows"][0]["C_n"] == c_n, mode
+        assert code == (0 if mode == "appendix" else 2), mode
+
+
 def test_kernel_matches_pell_reference():
     """The scan kernel must agree, case by case, with the pure reference
     solver plus the exact interior-slope predicate."""
     for n in range(2, 41):
         t = 4 * n - 3
         m = 2 * (n - 1)
-        sols = kernel.interior_solutions(n, True, False)
-        for rho, alpha in kernel.case_pairs(n, False):
+        sols = kernel.interior_walls(n)
+        for rho, alpha in case_pairs(n, False):
             a_val = alpha * alpha - 4 * rho * (n - 1)
             got = [(x, y) for r, a, x, y in sols if (r, a) == (rho, alpha)]
             if a_val <= 0:
@@ -316,10 +366,3 @@ def test_kernel_matches_pell_reference():
                 if (2 * t - 1) * y < 2 * x  # strictly inside the cone
             ]
             assert sorted(got) == sorted(ref), (n, rho, alpha)
-
-
-def test_kernel_appendix_subset_of_full():
-    for n in range(2, 61):
-        full = set(kernel.interior_solutions(n, True, False))
-        lit = set(kernel.interior_solutions(n, False, True))
-        assert lit <= full

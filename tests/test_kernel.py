@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from k3invol import kernel
-from k3invol.hilbcone import DivisorClass, involution_action
+from k3invol.hilbcone import DivisorClass, _appendix, involution_action
+from pell_reference import case_pairs
 
 
 def y_scan(n, full_congruence, appendix_cases, t=None):
@@ -16,7 +17,7 @@ def y_scan(n, full_congruence, appendix_cases, t=None):
     d = 4 * t * (n - 1)
     m = 2 * (n - 1)
     out = []
-    for rho, alpha in kernel.case_pairs(n, appendix_cases):
+    for rho, alpha in case_pairs(n, appendix_cases):
         a = alpha * alpha - 4 * rho * (n - 1)
         for y in range(1, math.isqrt(max(4 * a - 1, 0)) + 1):
             x = math.isqrt(a + d * y * y)
@@ -33,10 +34,9 @@ def y_scan(n, full_congruence, appendix_cases, t=None):
 
 def test_kernel_matches_y_scan_oracle():
     for n in range(2, 151):
-        for full, appendix in ((True, False), (False, True)):
-            assert kernel.interior_solutions(n, full, appendix) == y_scan(
-                n, full, appendix
-            ), (n, full, appendix)
+        walls = kernel.interior_walls(n)
+        assert walls == y_scan(n, True, False), n
+        assert _appendix(n, walls) == y_scan(n, False, True), n
 
 
 def _strictly_below(sols, t):
@@ -58,11 +58,8 @@ def test_lower_half_matches_oracle_on_generalized_t(data):
         s for s in y_scan(n, True, False, t) if s[2] >= t * s[3]
     )
     below = _strictly_below(got, t)
-    for full in (True, False):
-        for appendix in (False, True):
-            assert kernel.select(n, below, full, appendix) == _strictly_below(
-                y_scan(n, full, appendix, t), t
-            ), (full, appendix)
+    assert below == _strictly_below(y_scan(n, True, False, t), t)
+    assert _appendix(n, below) == _strictly_below(y_scan(n, False, True, t), t)
 
 
 def test_generalized_t_has_walls_below_the_middle():
@@ -80,14 +77,14 @@ def test_alpha_top_found_once():
     # alpha = n-1: the classes (k, -Y, (n-1)(k+1)) and (k+1, -Y, (n-1)k)
     # give the same tuple, which must be listed once
     assert kernel._lower_half(4, 5).count((-1, 3, 9, 1)) == 1
-    assert kernel.interior_solutions(2, True, False) == [(-1, 1, 5, 1)]
+    assert kernel.interior_walls(2) == [(-1, 1, 5, 1)]
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.integers(2, 10**9))
 def test_only_the_middle_wall(n):
     # the theorem C_n = 1 of the kernel docstring
-    assert kernel.interior_solutions(n, True, False) == [(-1, 1, 4 * n - 3, 1)]
+    assert kernel.interior_walls(n) == [(-1, 1, 4 * n - 3, 1)]
 
 
 def test_mirror_is_the_involution():

@@ -138,6 +138,33 @@ def test_negative_pell_properties():
             assert brute is None
 
 
+def negative_pell_every_convergent(d):
+    """Minimal solution of x^2 - d*y^2 = -1, or None: every convergent of
+    the first period of sqrt(d) is tested, with no divisibility shortcut.
+    Every positive solution is a convergent (Legendre), and the later
+    periods repeat the first one's values of p^2 - d*q^2."""
+    a0 = math.isqrt(d)
+    p_prev, p, q_prev, q = 1, a0, 0, 1
+    m, den, a = 0, 1, a0
+    while True:
+        if p * p - d * q * q == -1:
+            return PellSolution(p, q)
+        m = a * den - m
+        den = (d - m * m) // den
+        a = (a0 + m) // den
+        if a == 2 * a0:
+            return None
+        p_prev, p = p, a * p + p_prev
+        q_prev, q = q, a * q + q_prev
+
+
+def test_negative_pell_matches_every_convergent_oracle():
+    # the solver tests only the convergent that closes the first period
+    for d in range(2, 30000):
+        if not isqrt(d)[1]:
+            assert negative_pell_minimal(d) == negative_pell_every_convergent(d), d
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.integers(2, 10**5).filter(lambda d: not isqrt(d)[1]))
 def test_pell_solvers_are_minimal(d):
