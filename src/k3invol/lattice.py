@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Sequence
 
 # Negated Cartan matrix of E8 (Bourbaki node ordering: chain
@@ -152,11 +153,27 @@ class LatticeMap:
         return LatticeMap(self.lattice, _mat_mul(self.matrix, other.matrix))
 
     def is_isometry(self) -> bool:
+        """Whether (M e_i, M e_j) = G_ij for all i, j.
+
+        A column equal to e_i leaves basis vector i fixed, and a pair of
+        fixed vectors keeps its pairing, so only pairs with a moved column
+        are checked: against a fixed e_j the pairing (M e_i, e_j) is
+        entry j of G M e_i, against a moved one it is a full dot product.
+        The transvections of ``build_alpha`` and alpha itself move at most
+        three of the 23 columns of Xi(n).
+        """
         g = self.lattice.gram
-        m = self.matrix
-        return _mat_mul(tuple(zip(*m)), _mat_mul(g, m)) == tuple(
-            tuple(row) for row in g
-        )
+        cols = tuple(zip(*self.matrix))
+        moved = [i for i, c in enumerate(cols) if c != _unit(len(cols), i)]
+        fixed = [j for j in range(len(cols)) if j not in moved]
+        for i in moved:
+            g_i, gm_i = g[i], _mat_vec(g, cols[i])  # entry j: (M e_i, e_j)
+            if any(gm_i[j] != g_i[j] for j in fixed):
+                return False
+            for j in moved:
+                if sum(a * b for a, b in zip(gm_i, cols[j])) != g_i[j]:
+                    return False
+        return True
 
 
 def transvection(x: LatticeElement, y: LatticeElement) -> LatticeMap:
@@ -286,18 +303,30 @@ def acts_trivially_on_discriminant(m: LatticeMap) -> bool:
 
 
 def _mat_mul(a, b):
-    """a * b, with row i the sum of a_ik * (row k of b) over the nonzero a_ik."""
+    """a * b, with row i the sum of a_ik * (row k of b) over the nonzero
+    a_ik, and each row of b read at its nonzero entries only."""
+    b_nonzero = [[(j, y) for j, y in enumerate(row) if y] for row in b]
     out = []
     for row in a:
         acc = [0] * len(b[0])
-        for x, b_row in zip(row, b):
+        for x, b_row in zip(row, b_nonzero):
             if x:
-                acc = [s + x * y for s, y in zip(acc, b_row)]
+                for j, y in b_row:
+                    acc[j] += x * y
         out.append(tuple(acc))
     return tuple(out)
 
 
 def _mat_vec(m, v) -> list[int]:
-    """m * v, summing over the nonzero coordinates of v alone."""
-    nonzero = [(j, c) for j, c in enumerate(v) if c]
-    return [sum(row[j] * c for j, c in nonzero) for row in m]
+    """m * v, the sum of v_j * (column j of m) over the nonzero v_j alone."""
+    acc = [0] * len(m)
+    for j, c in enumerate(v):
+        if c:
+            acc = [s + c * row[j] for s, row in zip(acc, m)]
+    return acc
+
+
+@cache
+def _unit(rank: int, i: int) -> tuple[int, ...]:
+    """Basis vector e_i of Z^rank, the i-th column of the identity."""
+    return tuple(int(k == i) for k in range(rank))

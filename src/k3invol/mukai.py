@@ -11,10 +11,11 @@ bookkeeping of the indeterminacy locus, and two exhaustive integer
 searches certifying that v^(i) admits no decomposition into positive
 classes and no unexpected spherical class pairs against it.  Both
 searches solve for y in exact Python integers, one x at a time, so they
-never wrap.  The spherical search walks x over the box |x|, |y| <= bound
-in O(bound) steps; the decomposition search walks only the x between 0
-and the target's x0, the whole searched region by construction, so for
-v^(i) (x0 = 1) it visits two values of x whatever the bound.
+never wrap.  Each walks only the x where its region can hold a class,
+so it costs O(1) steps whatever the bound: the spherical search walks
+the |x| <= x_max that the window 0 < (s, v^(i)) <= (v^(i))^2 / 2 allows
+(x_max <= 1 for every n < 400), the decomposition search the x between
+0 and the target's x0 (two values of x for v^(i), where x0 = 1).
 """
 
 from __future__ import annotations
@@ -115,7 +116,18 @@ def spherical_search(ctx: MukaiContext, i: int, bound: int) -> list[tuple[int, i
     Sphericity s^2 = -2 is the hyperbola (n-1)x^2 + xy - y^2 = -1; for
     each x the y's are solved from the integer discriminant
     z^2 = (4n-3)x^2 + 4, which enumerates exactly the same pairs as a
-    double loop over (x, y) but in O(bound) steps.
+    double loop over (x, y).
+
+    Only |x| <= x_max can occur, so a call takes O(1) steps whatever the
+    bound.  Write V = (v^(i))^2 (even and positive), l = (s, v^(i)) in
+    [1, V/2] and m = (i+1)x + y, up to sign the determinant of the
+    coordinates (x, y) of s and (1, -(i+1)) of v^(i).  The Gram matrix of
+    v, a has determinant -t, so the Gram determinant of (s, v^(i)) is
+    -2V - l^2 = -t*m^2, that is t*m^2 = l^2 + 2V <= (V^2 + 8V)/4, and
+    |m| <= m_max = isqrt((V^2 + 8V) // 4t).  Substituting y = m - (i+1)x
+    in l = (2n-i-3)x + (2i+3)y gives V*x = l - (2i+3)m, so
+    |x| <= x_max = (V/2 + (2i+3)*m_max) // V.  For every n < 400 that is
+    x_max <= 1.
     """
     if i < -1:
         raise ValueError("i must be at least -1")
@@ -126,8 +138,10 @@ def spherical_search(ctx: MukaiContext, i: int, bound: int) -> list[tuple[int, i
     if vi_sq <= 0:
         raise ValueError("spherical window is empty or vacuous unless (v^(i))^2 > 0")
     n, t = ctx.n, ctx.t
+    m_max = math.isqrt((vi_sq * vi_sq + 8 * vi_sq) // (4 * t))
+    x_max = min(bound, (vi_sq // 2 + (2 * i + 3) * m_max) // vi_sq)
     out = set()
-    for x in range(-bound, bound + 1):
+    for x in range(-x_max, x_max + 1):
         disc = t * x * x + 4
         z = math.isqrt(disc)
         if z * z != disc:

@@ -36,7 +36,10 @@ def test_kernel_matches_y_scan_oracle():
     for n in range(2, 151):
         walls = kernel.interior_walls(n)
         assert walls == y_scan(n, True, False), n
-        assert _appendix(n, walls) == y_scan(n, False, True), n
+        # no interior wall passes the appendix filter, and the historical
+        # y-scan finds none either: the proof is in hilbcone._appendix
+        assert _appendix(n, walls) == [], n
+        assert y_scan(n, False, True) == [], n
 
 
 def _strictly_below(sols, t):
@@ -59,7 +62,13 @@ def test_lower_half_matches_oracle_on_generalized_t(data):
     )
     below = _strictly_below(got, t)
     assert below == _strictly_below(y_scan(n, True, False, t), t)
-    assert _appendix(n, below) == _strictly_below(y_scan(n, False, True, t), t)
+    # no solution of any t >= n-1 passes the appendix filter or the
+    # historical y-scan.  X = alpha forces rho = tY^2, above the cut, as in
+    # the proof in hilbcone._appendix; that proof excludes X = 2(n-1) - alpha
+    # by X >= t > 2(n-1), which needs t = 4n-3, but for any t >= n-1 that X
+    # forces rho = tY^2 + alpha - (n-1) >= alpha, so A <= alpha(alpha - 4(n-1)) < 0
+    assert _appendix(n, got) == []
+    assert y_scan(n, False, True, t) == []
 
 
 def test_generalized_t_has_walls_below_the_middle():

@@ -116,6 +116,19 @@ def dense_mat_mul(a, b):
     return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a)
 
 
+def dense_is_isometry(m):
+    """Slow oracle: M^T G M == G by textbook products."""
+    g = m.lattice.gram
+    return dense_mat_mul(tuple(zip(*m.matrix)), dense_mat_mul(g, m.matrix)) == g
+
+
+def perturbed(m, i, j, d):
+    """m with d added to entry (i, j): coordinate i of the image of e_j."""
+    rows = [list(row) for row in m.matrix]
+    rows[i][j] += d
+    return LatticeMap(m.lattice, tuple(tuple(row) for row in rows))
+
+
 def random_even_gram(rng, rank):
     g = [[0] * rank for _ in range(rank)]
     for i in range(rank):
@@ -301,6 +314,52 @@ def test_build_alpha_images_and_checks():
         assert alpha.apply(2 * (n - 1) * (u + t * v) - t * ell) == kappa
         assert alpha.is_isometry()
         assert acts_trivially_on_discriminant(alpha)
+
+
+def test_isometry_matches_dense_oracle_on_alpha_and_its_transvections():
+    for n in range(2, 201):
+        t = 4 * n - 3
+        b = xi_basis(build_xi(n))
+        u1, v, v1, ell = b["u1"], b["v"], b["v1"], b["l"]
+        # the three factors of build_alpha; transvection checks each on construction
+        maps = [
+            transvection(u1, -v),
+            transvection(v1, (t - 1) * v - 2 * ell),
+            transvection(u1, v),
+            build_alpha(n),
+        ]
+        for m in maps:
+            assert m.is_isometry() and dense_is_isometry(m), n
+
+
+def test_isometry_matches_dense_oracle_on_perturbed_alpha():
+    rng = random.Random(14)
+    for _ in range(400):
+        n = rng.randint(2, 200)
+        i, j = rng.randrange(23), rng.randrange(23)
+        m = perturbed(build_alpha(n), i, j, rng.choice((-2, -1, 1, 2)))
+        assert m.is_isometry() == dense_is_isometry(m), (n, i, j)
+
+
+# alpha moves the columns of u (0), u1 (2) and l (22); their images have
+# coordinates only at u, v, u1, v1 and l
+ALPHA_MUTANTS = {
+    # l pairs only with itself, so this breaks only pairings of moved columns
+    "moved column": (22, 0, 1),
+    # e_5 = v2 goes to v2 + l, of square -2(n-1)
+    "fixed column": (22, 5, 1),
+    # u2 is isotropic and orthogonal to every moved image, so the image of u
+    # keeps its pairings with all moved columns but pairs 1 with the fixed v2
+    "moved x fixed only": (4, 0, 1),
+}
+
+
+@pytest.mark.parametrize("i, j, d", ALPHA_MUTANTS.values(), ids=ALPHA_MUTANTS.keys())
+def test_isometry_rejects_perturbed_alpha(i, j, d):
+    for n in (2, 7, 130):
+        m = perturbed(build_alpha(n), i, j, d)
+        assert not dense_is_isometry(m)
+        assert not m.is_isometry()
 
 
 def test_divisibility_examples():

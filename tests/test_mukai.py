@@ -1,3 +1,5 @@
+import functools
+import math
 import os
 import random
 import subprocess
@@ -93,22 +95,42 @@ def test_r_max():
         assert (r + 1) * (r + 2) <= n < (r + 2) * (r + 3)
 
 
-def _spherical_oracle(n, i, bound):
-    """Literal double loop over the grid, kept as the independent check."""
+@functools.cache
+def _spherical_classes(n, bound):
+    """Literal double loop over the grid: every spherical s = x*v + y*a
+    with |x|, |y| <= bound, kept as the independent check."""
     ctx = MukaiContext(n)
-    vi = v_i(ctx, i)
-    vi_sq = mukai_pairing(ctx, vi, vi)
     v, a, _, _ = standard_vectors(ctx)
     out = []
     for x in range(-bound, bound + 1):
         for y in range(-bound, bound + 1):
             s = x * v + y * a
-            if mukai_pairing(ctx, s, s) != -2:
-                continue
-            p = mukai_pairing(ctx, s, vi)
-            if 0 < 2 * p <= vi_sq:
+            if mukai_pairing(ctx, s, s) == -2:
                 out.append((x, y))
-    return sorted(out)
+    return out
+
+
+def _spherical_oracle(n, i, bound):
+    """The spherical classes of the box in the window of v^(i)."""
+    ctx = MukaiContext(n)
+    vi = v_i(ctx, i)
+    vi_sq = mukai_pairing(ctx, vi, vi)
+    v, a, _, _ = standard_vectors(ctx)
+    return sorted(
+        (x, y)
+        for x, y in _spherical_classes(n, bound)
+        if 0 < 2 * mukai_pairing(ctx, x * v + y * a, vi) <= vi_sq
+    )
+
+
+def _window_indices(n):
+    """The i >= -1 with (v^(i))^2 > 0, the ones the spherical search accepts."""
+    ctx = MukaiContext(n)
+    return [
+        i
+        for i in range(-1, r_max(ctx) + 1)
+        if mukai_pairing(ctx, v_i(ctx, i), v_i(ctx, i)) > 0
+    ]
 
 
 def test_spherical_examples():
@@ -118,8 +140,34 @@ def test_spherical_examples():
 
 
 def test_spherical_matches_double_loop_oracle():
-    for n, i in ((3, -1), (6, 0), (7, 0), (12, 1), (20, 2), (30, -1)):
-        assert spherical_search(MukaiContext(n), i, 18) == _spherical_oracle(n, i, 18)
+    # n = m(m+1) puts v^(m-1) = (1, -(m+1)) in the window of i = m-2, at
+    # |x| = x_max = 1, so a search one short of x_max fails here
+    for n in range(3, 61):
+        for i in _window_indices(n):
+            assert spherical_search(MukaiContext(n), i, 18) == _spherical_oracle(n, i, 18)
+
+
+def test_spherical_window_lies_within_x_max():
+    # the bound of the spherical_search docstring, against a box much wider
+    # than x_max; some window class sits on it, so it cannot be lowered
+    on_the_bound = 0
+    for n in range(3, 41):
+        t = 4 * n - 3
+        for i in _window_indices(n):
+            vi_sq = 2 * (n - i * i - 3 * i - 3)
+            m_max = math.isqrt((vi_sq * vi_sq + 8 * vi_sq) // (4 * t))
+            x_max = (vi_sq // 2 + (2 * i + 3) * m_max) // vi_sq
+            window = _spherical_oracle(n, i, 60)
+            assert all(abs(x) <= x_max for x, _ in window), (n, i)
+            on_the_bound += any(abs(x) == x_max for x, _ in window)
+    assert on_the_bound > 0
+
+
+def test_spherical_cost_is_independent_of_bound():
+    # a loop over all 2*bound + 1 values of x would not finish
+    _run_within_timeout(
+        "sys.exit(mukai.spherical_search(mukai.MukaiContext(10**6), 0, 10**12) != [(0, 1)])"
+    )
 
 
 def test_spherical_rejects_vacuous_window():
@@ -211,20 +259,24 @@ def test_decompositions_lie_between_zero_and_x0(data):
     )
 
 
-def test_positive_decomposition_cost_is_independent_of_bound():
-    # a loop over all 2*bound + 1 values of x would not finish
+def _run_within_timeout(statement):
+    """Run ``statement`` in a child with ``sys`` and ``k3invol.mukai`` imported;
+    it must exit 0 within 20 s."""
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(os.path.abspath(mukai.__file__)))
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    code = (
-        "import sys; "
-        "from k3invol.mukai import MukaiContext, positive_decomposition_search; "
-        "sys.exit(positive_decomposition_search(MukaiContext(10**6), 0, 10**12) != [])"
-    )
+    code = "import sys; from k3invol import mukai; " + statement
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=20
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_positive_decomposition_cost_is_independent_of_bound():
+    # a loop over all 2*bound + 1 values of x would not finish
+    _run_within_timeout(
+        "sys.exit(mukai.positive_decomposition_search(mukai.MukaiContext(10**6), 0, 10**12) != [])"
+    )
 
 
 def test_positive_decomposition_validation():
