@@ -8,7 +8,7 @@ import time
 import pytest
 
 import k3invol
-from k3invol import cli, hilbcone, pell, sigma
+from k3invol import cli, hilbcone, lattice, pell, sigma
 from k3invol.pell import PellSolution, fundamental_solution, negative_pell_minimal
 from k3invol.cli import main
 
@@ -352,13 +352,59 @@ def test_pell_verify_rejects_non_minimal_solution(capsys, monkeypatch):
         assert "verify: FAIL minimality/equation" in err
 
 
+EICHLER_5_VERIFY = """\
+n=5  period lattice rank 23, l^2 = -8
+alpha(u + 17v - 2l) = u + v: True
+alpha(2(n-1)(u + 17v) - 17l) = 2(n-1)(u-v) + 4(n-1)v1 - l: True
+gram preserved: True
+acts trivially on discriminant group: True
+"""
+
+
+def _json_strings(values):
+    return "[\n" + ",\n".join(f'    "{v}"' for v in values) + "\n  ]"
+
+
+EICHLER_4_JSON = (
+    "{\n"
+    '  "discriminant_trivial": true,\n'
+    f'  "fixed_class_image": {_json_strings([1, 1] + [0] * 21)},\n'
+    '  "isometry": true,\n'
+    f'  "kappa_image": {_json_strings([6, -6, 0, 12] + [0] * 18 + [-1])},\n'
+    '  "n": 4,\n'
+    '  "rank": 23\n'
+    "}\n"
+)
+
+
 def test_eichler_command(capsys):
-    code, out, _ = run(capsys, ["eichler", "--n", "5", "--verify"])
-    assert code == 0
-    assert "True" in out and "False" not in out
-    code, out, _ = run(capsys, ["eichler", "--n", "4", "--format", "json"])
-    obj = json.loads(out)
-    assert obj["isometry"] is True and obj["discriminant_trivial"] is True
+    assert run(capsys, ["eichler", "--n", "5", "--verify"]) == (0, EICHLER_5_VERIFY, "")
+    assert run(capsys, ["eichler", "--n", "4", "--format", "json"]) == (0, EICHLER_4_JSON, "")
+
+
+def test_eichler_verify_fails_on_discriminant(capsys, monkeypatch):
+    # -id is an isometry, but acts as -1 on the discriminant group Z/8 of Xi(5)
+    minus_id = {j: {j: -1} for j in range(23)}
+    monkeypatch.setattr(
+        lattice, "build_alpha", lambda n: lattice.LatticeMap(lattice.build_xi(n), minus_id)
+    )
+    code, out, err = run(capsys, ["eichler", "--n", "5", "--verify"])
+    assert code == 1
+    assert out.splitlines()[3:] == [
+        "gram preserved: True",
+        "acts trivially on discriminant group: False",
+    ]
+    assert err == "verify: FAIL isometry/discriminant\n"
+
+
+def test_eichler_rejects_non_isometry(capsys, monkeypatch):
+    alpha = lattice.build_alpha(5)
+    # v2 -> v2 + l, of square -8: no longer isotropic
+    bad = lattice.LatticeMap(alpha.lattice, {**alpha.moved, 5: {5: 1, 22: 1}})
+    monkeypatch.setattr(lattice, "build_alpha", lambda n: bad)
+    code, out, err = run(capsys, ["eichler", "--n", "5", "--verify"])
+    assert (code, out) == (1, "")
+    assert err == "k3invol: error: the map must be an isometry\n"
 
 
 def test_lemmas_and_eichler_reject_csv(capsys):

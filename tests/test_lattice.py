@@ -22,8 +22,18 @@ from k3invol.lattice import (
 
 
 def identity_map(lat):
-    n = lat.rank
-    return LatticeMap(lat, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
+    return LatticeMap(lat, {})
+
+
+def dense_map(lat, matrix):
+    """The one conversion from a dense matrix, column j the image of e_j, to a
+    LatticeMap: the columns other than e_j, by their nonzero entries."""
+    moved = {}
+    for j, col in enumerate(zip(*matrix)):
+        image = {i: x for i, x in enumerate(col) if x}
+        if image != {j: 1}:
+            moved[j] = image
+    return LatticeMap(lat, moved)
 
 
 def permutation_map(lat, images):
@@ -31,7 +41,7 @@ def permutation_map(lat, images):
     m = [[0] * lat.rank for _ in range(lat.rank)]
     for j, (sign, k) in enumerate(images):
         m[k][j] = sign
-    return LatticeMap(lat, tuple(tuple(row) for row in m))
+    return dense_map(lat, m)
 
 
 def fraction_inverse(g):
@@ -102,9 +112,9 @@ def adjugate_acts_trivially(m):
 def oracle_acts_trivially(m):
     """Slow oracle: (M - I) G^-1 has integer entries, computed in Fractions."""
     _, ginv = fraction_inverse(m.lattice.gram)
-    r = m.lattice.rank
+    r, mat = m.lattice.rank, m.matrix
     return all(
-        (sum(m.matrix[i][k] * ginv[k][j] for k in range(r)) - ginv[i][j]).denominator == 1
+        (sum(mat[i][k] * ginv[k][j] for k in range(r)) - ginv[i][j]).denominator == 1
         for i in range(r)
         for j in range(r)
     )
@@ -114,6 +124,23 @@ def dense_mat_mul(a, b):
     """Slow oracle: the textbook product, every row of a against every column of b."""
     cols = tuple(zip(*b))
     return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a)
+
+
+def dense_mat_vec(m, v):
+    """Slow oracle: the textbook product, every row of m against v."""
+    return [sum(x * c for x, c in zip(row, v)) for row in m]
+
+
+def dense_gram(lat):
+    """Slow oracle: the block-diagonal Gram matrix assembled from the summands."""
+    blocks = {U: ((0, 1), (1, 0)), E8_MINUS: lattice._e8_minus_gram()}
+    g, off = [[0] * lat.rank for _ in range(lat.rank)], 0
+    for s in lat.summands:
+        block = blocks.get(s, ((s,),))
+        for i, row in enumerate(block):
+            g[off + i][off : off + len(row)] = row
+        off += len(block)
+    return tuple(tuple(row) for row in g)
 
 
 def dense_is_isometry(m):
@@ -126,7 +153,7 @@ def perturbed(m, i, j, d):
     """m with d added to entry (i, j): coordinate i of the image of e_j."""
     rows = [list(row) for row in m.matrix]
     rows[i][j] += d
-    return LatticeMap(m.lattice, tuple(tuple(row) for row in rows))
+    return dense_map(m.lattice, rows)
 
 
 def random_even_gram(rng, rank):
@@ -211,47 +238,6 @@ def test_adjugate_oracle_matches_fraction_oracle():
     assert nondegenerate > 200
 
 
-# mostly zeros, like the Gram matrices and maps, with negative entries
-_sparse_entries = st.one_of(st.just(0), st.just(0), st.integers(-9, 9))
-
-
-def _int_matrix(rows, cols):
-    return st.lists(
-        st.lists(_sparse_entries, min_size=cols, max_size=cols).map(tuple),
-        min_size=rows,
-        max_size=rows,
-    ).map(tuple)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_mat_mul_matches_dense_oracle(data):
-    m, k, p = (data.draw(st.integers(1, 6), label=name) for name in "mkp")
-    a = data.draw(_int_matrix(m, k), label="a")
-    b = data.draw(_int_matrix(k, p), label="b")
-    assert lattice._mat_mul(a, b) == dense_mat_mul(a, b)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_mat_vec_matches_dense_oracle(data):
-    m, k = (data.draw(st.integers(1, 6), label=name) for name in "mk")
-    a = data.draw(_int_matrix(m, k), label="a")
-    vector = _int_matrix(1, k).map(lambda rows: rows[0])
-    v = data.draw(st.one_of(st.just((0,) * k), vector), label="v")  # all-zero v too
-    assert lattice._mat_vec(a, v) == [sum(x * c for x, c in zip(row, v)) for row in a]
-
-
-def test_mat_mul_matches_dense_oracle_on_period_lattice():
-    for n in (2, 7, 130):
-        g = build_xi(n).gram
-        adj = bareiss_adjugate(g)[1]
-        alpha = build_alpha(n).matrix
-        alpha_t = tuple(zip(*alpha))
-        for a, b in ((g, alpha), (alpha_t, g), (alpha, adj), (alpha, alpha_t)):
-            assert lattice._mat_mul(a, b) == dense_mat_mul(a, b)
-
-
 def test_transvection_preconditions():
     lat = IntegerLattice([U])
     e0, e1 = lat.basis_element(0), lat.basis_element(1)
@@ -272,6 +258,8 @@ def test_transvection_examples():
     ident = identity_map(lat).matrix
     assert t_map.compose(transvection(u1, -v)).matrix == ident
     assert transvection(u1, -v).compose(t_map).matrix == ident
+    # and every column that comes back to e_j is dropped
+    assert t_map.compose(transvection(u1, -v)).moved == {}
 
 
 def test_transvections_preserve_gram():
@@ -392,7 +380,7 @@ def test_discriminant_action():
         lat = build_xi(n)
         m = [[int(i == j) for j in range(23)] for i in range(23)]
         m[22][22] = -1
-        neg_ell = LatticeMap(lat, tuple(tuple(row) for row in m))
+        neg_ell = dense_map(lat, m)
         assert neg_ell.is_isometry()
         assert acts_trivially_on_discriminant(neg_ell) is expected
         assert oracle_acts_trivially(neg_ell) is expected
@@ -456,6 +444,30 @@ def random_transvections(rng, lat):
     return out
 
 
+# Xi(n), and orthogonal sums with a U summand for the transvections to use
+_lattices = st.one_of(
+    st.integers(2, 200).map(build_xi),
+    st.lists(st.sampled_from([U, E8_MINUS, -6, -4, -2, 2, 4, 10]), max_size=3)
+    .flatmap(lambda rest: st.permutations([U, *rest]))
+    .map(IntegerLattice),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_lattices, st.integers(0, 2**32), st.data())
+def test_compose_apply_and_gram_product_match_dense_oracle(lat, seed, data):
+    rng = random.Random(seed)
+    a, b = random_transvections(rng, lat), random_transvections(rng, lat)
+    assert a.compose(b).matrix == dense_mat_mul(a.matrix, b.matrix)
+    entries = st.one_of(st.just(0), st.integers(-9, 9))  # mostly zeros, like the vectors used
+    v = data.draw(st.lists(entries, min_size=lat.rank, max_size=lat.rank), label="v")
+    assert list(a.apply(lat.element(v)).coords) == dense_mat_vec(a.matrix, v)
+    g = dense_gram(lat)
+    assert lat.gram == g
+    gv = lat.gram_product({j: c for j, c in enumerate(v) if c})
+    assert [gv.get(i, 0) for i in range(lat.rank)] == dense_mat_vec(g, v)
+
+
 @pytest.mark.parametrize("lat, s_map, expected", DISCRIMINANT_CASES)
 def test_discriminant_action_matches_oracle(lat, s_map, expected):
     assert s_map.is_isometry()
@@ -476,7 +488,7 @@ def test_discriminant_action_matches_oracle(lat, s_map, expected):
 
 def test_discriminant_rejects_non_isometry():
     lat = IntegerLattice([U])
-    m = LatticeMap(lat, ((1, 1), (0, 1)))
+    m = dense_map(lat, ((1, 1), (0, 1)))
     assert not m.is_isometry()
     with pytest.raises(ValueError):
         acts_trivially_on_discriminant(m)
