@@ -14,11 +14,16 @@ wall rays of slope strictly below 1/t, so C_n = 1 means the nef cone
 reaches the middle.
 
 The kernel's walls are the complete criterion, X == +-alpha (mod 2(n-1))
-in every case: the ``full`` mode.  The ``appendix`` mode replays a
-historical search program; it sees the subset :func:`_appendix` keeps,
-so :func:`scan_rows`, the one scan path, enumerates and validates each n
-once and counts C_n in both modes from that.  Anything the full mode
-finds below the middle wall that the appendix mode misses is a
+in every case: the ``full`` mode.  The ``appendix`` mode is a historical
+search program.  It ran the C-family over ``range(1, int((n-1)/4))``,
+so it kept only rho < max(1, floor((n-1)/4)), and it compared X with
+alpha and 2(n-1) - alpha as plain integers.  No interior wall passes
+that test.  An interior ray has Y(2t-1) < 2X with Y >= 1, so
+X >= t > 2(n-1), and X = 2(n-1) - alpha would need alpha < 0.  X = alpha
+makes a = (0, -Y, X), of square 2tY^2, so rho = tY^2 is above the cut.
+The appendix mode therefore has only the middle wall, which exists for
+every n, and its C_n is 1; nothing replays the program.  Every wall the
+full mode finds below the middle is one the appendix mode misses: a
 reportable finding, not an error.
 """
 
@@ -122,12 +127,8 @@ class WallRecord(NamedTuple):
         return (4 * self.n - 3) * self.Y < self.X
 
     def primitive_ray(self) -> tuple[int, int]:
-        return _primitive_ray(self.X, self.Y)
-
-
-def _primitive_ray(x: int, y: int) -> tuple[int, int]:
-    g = math.gcd(x, y)
-    return x // g, y // g
+        g = math.gcd(self.X, self.Y)
+        return self.X // g, self.Y // g
 
 
 def middle_wall(n: int) -> WallRecord:
@@ -136,37 +137,18 @@ def middle_wall(n: int) -> WallRecord:
 
 
 def enumerate_walls(n: int, full_congruence: bool = True) -> list[WallRecord]:
-    """All distinct interior wall records, sorted by slope.
+    """All distinct interior wall records of a mode, sorted by slope.
 
-    Solutions come from the kernel's enumeration of wall classes over
-    all cases at once, through :func:`_appendix` unless
-    ``full_congruence``; records defining the same ray are deduplicated
-    on the primitive (X, Y).  The middle wall exists for every n; it is
-    inserted when the filter drops it, which it always does.
+    In the full mode these are the kernel's wall classes over all cases
+    at once, deduplicated on the primitive (X, Y), and the middle wall,
+    which exists for every n.  The appendix mode sees no interior wall but
+    the middle one (see the module docstring), so the kernel is not called.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    solutions = kernel.interior_walls(n)
     if not full_congruence:
-        solutions = _appendix(n, solutions)
-    return _distinct_walls(n, solutions)
-
-
-def _appendix(n: int, solutions) -> list[tuple[int, int, int, int]]:
-    """The (rho, alpha, X, Y) of ``solutions`` that the appendix mode sees.
-
-    It replays a historical search program byte for byte.  That program ran
-    the C-family over ``range(1, int((n-1)/4))``, which always omits the
-    top rho = floor((n-1)/4), and compared X with alpha and 2(n-1) - alpha
-    as plain integers, so a solution with X >= 2(n-1) in the right class
-    is invisible to it.  An interior ray has X >= t > 2(n-1), so
-    X = 2(n-1) - alpha never holds, and X = alpha makes a = (0, -Y, X), of
-    square 2tY^2, so rho = tY^2 is above the cut: no interior wall passes
-    the filter, and the mode's C_n is always 1.
-    """
-    rho_end = max(1, (n - 1) // 4)
-    m = 2 * (n - 1)
-    return [sol for sol in solutions if sol[0] < rho_end and sol[2] in (sol[1], m - sol[1])]
+        return [middle_wall(n)]
+    return _distinct_walls(n, kernel.interior_walls(n))
 
 
 def _distinct_walls(n: int, solutions) -> list[WallRecord]:
@@ -207,20 +189,11 @@ class ScanRow(NamedTuple):
 
 
 def _scan_row(n: int) -> ScanRow:
-    # one enumeration and one record per solution: the appendix mode sees a
-    # filter of the full mode's solutions, all of them built (and validated)
-    # by _distinct_walls, and only its distinct rays below the middle count
-    t = 4 * n - 3
-    solutions = kernel.interior_walls(n)
-    below_full = [w for w in _distinct_walls(n, solutions) if w.below_middle]
-    app_rays = {_primitive_ray(x, y) for _, _, x, y in _appendix(n, solutions) if x > t * y}
-    extra = tuple(w for w in below_full if w.primitive_ray() not in app_rays)
-    return ScanRow(
-        n=n,
-        c_full=len(below_full) + 1,
-        c_appendix=len(app_rays) + 1,
-        full_only_below=extra,
-    )
+    # the appendix mode's C_n is 1 (see the module docstring), so every
+    # below-middle wall of the full mode is one it misses
+    walls = _distinct_walls(n, kernel.interior_walls(n))
+    below_full = tuple(w for w in walls if w.below_middle)
+    return ScanRow(n=n, c_full=len(below_full) + 1, c_appendix=1, full_only_below=below_full)
 
 
 def scan_rows(n_min: int, n_max: int) -> list[ScanRow]:

@@ -14,8 +14,9 @@ Alpha and the transvections it is built from move at most five of the
 23 basis vectors (u, v, u1, v1, l), so composing, applying and checking
 a map costs O(moved columns x nonzeros), not O(rank^2).  The dense
 ``gram`` and ``matrix`` are read-only views for test oracles.  Nothing
-is cached: a caller of ``build_alpha(n)`` that also needs Xi(n) reads
-it from ``alpha.lattice``.
+is cached: ``build_alpha(n)`` returns alpha together with the images of
+its two defining inputs, which it has just checked, and a caller that
+also needs Xi(n) reads it from ``alpha.lattice``.
 """
 
 from __future__ import annotations
@@ -259,15 +260,16 @@ def xi_basis(lat: IntegerLattice) -> dict[str, LatticeElement]:
     return {k: lat.basis_element(i) for k, i in names.items()}
 
 
-def build_alpha(n: int) -> LatticeMap:
-    """The isometry of Xi(n) moving the degree-2 marked class onto u + v.
+def build_alpha(n: int) -> tuple[LatticeMap, LatticeElement, LatticeElement]:
+    """The isometry alpha of Xi(n) moving the degree-2 marked class onto
+    u + v, returned as (alpha, u + v, kappa) with the two images below.
 
     With w' = (u + tv - 2l) - (u + v) = (t-1)v - 2l, the map is the
     composition t(u1, -v) o t(v1, w') o t(u1, v) (rightmost first).  Its
     two defining images are verified on construction:
 
         alpha(u + t*v - 2*l)           = u + v
-        alpha(2(n-1)(u + t*v) - t*l)   = 2(n-1)(u - v) + 4(n-1)*v1 - l
+        alpha(2(n-1)(u + t*v) - t*l)   = 2(n-1)(u - v) + 4(n-1)*v1 - l = kappa
 
     The second input is the integral generator of the orthogonal
     complement of the marked class inside the rank-two algebraic part,
@@ -282,14 +284,13 @@ def build_alpha(n: int) -> LatticeMap:
         .compose(transvection(v1, w_prime))
         .compose(transvection(u1, v))
     )
-    got = alpha.apply(u + t * v - 2 * ell)
-    if got != u + v:
+    fixed = alpha.apply(u + t * v - 2 * ell)
+    if fixed != u + v:
         raise AssertionError("alpha does not send u + tv - 2l to u + v")
-    kappa = 2 * (n - 1) * (u - v) + 4 * (n - 1) * v1 - ell
-    got = alpha.apply(2 * (n - 1) * (u + t * v) - t * ell)
-    if got != kappa:
+    kappa = alpha.apply(2 * (n - 1) * (u + t * v) - t * ell)
+    if kappa != 2 * (n - 1) * (u - v) + 4 * (n - 1) * v1 - ell:
         raise AssertionError("alpha does not send 2(n-1)(u+tv) - tl to kappa")
-    return alpha
+    return alpha, fixed, kappa
 
 
 def divisibility(e: LatticeElement) -> int:

@@ -191,12 +191,12 @@ def test_09_eichler_verification(capsys):
     t0 = time.perf_counter()
     for n in range(2, 101):
         t = 4 * n - 3
-        alpha = lattice.build_alpha(n)  # image identities verified inside
+        alpha, fixed, kappa = lattice.build_alpha(n)  # image identities verified inside
         b = lattice.xi_basis(alpha.lattice)
         u, v, v1, ell = b["u"], b["v"], b["v1"], b["l"]
-        assert alpha.apply(u + t * v - 2 * ell) == u + v
-        kappa = 2 * (n - 1) * (u - v) + 4 * (n - 1) * v1 - ell
-        assert alpha.apply(2 * (n - 1) * (u + t * v) - t * ell) == kappa
+        assert alpha.apply(u + t * v - 2 * ell) == fixed == u + v
+        expect = 2 * (n - 1) * (u - v) + 4 * (n - 1) * v1 - ell
+        assert alpha.apply(2 * (n - 1) * (u + t * v) - t * ell) == kappa == expect
         assert alpha.is_isometry()
         assert lattice.acts_trivially_on_discriminant(alpha)
     elapsed = time.perf_counter() - t0

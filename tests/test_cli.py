@@ -352,10 +352,12 @@ def test_pell_verify_rejects_non_minimal_solution(capsys, monkeypatch):
         assert "verify: FAIL minimality/equation" in err
 
 
-EICHLER_5_VERIFY = """\
+EICHLER_5 = """\
 n=5  period lattice rank 23, l^2 = -8
 alpha(u + 17v - 2l) = u + v: True
 alpha(2(n-1)(u + 17v) - 17l) = 2(n-1)(u-v) + 4(n-1)v1 - l: True
+"""
+EICHLER_5_VERIFY = EICHLER_5 + """\
 gram preserved: True
 acts trivially on discriminant group: True
 """
@@ -378,16 +380,39 @@ EICHLER_4_JSON = (
 
 
 def test_eichler_command(capsys):
+    assert run(capsys, ["eichler", "--n", "5"]) == (0, EICHLER_5, "")
     assert run(capsys, ["eichler", "--n", "5", "--verify"]) == (0, EICHLER_5_VERIFY, "")
     assert run(capsys, ["eichler", "--n", "4", "--format", "json"]) == (0, EICHLER_4_JSON, "")
 
 
+def test_eichler_runs_each_check_once(capsys, monkeypatch):
+    # build_alpha checks the three transvections and applies alpha to its
+    # two defining inputs; the discriminant check is alpha's one isometry check
+    calls = {}
+
+    def count(owner, name):
+        real = getattr(owner, name)
+
+        def counted(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(lattice.LatticeMap, "is_isometry")
+    count(lattice.LatticeMap, "apply")
+    count(lattice, "xi_basis")
+    assert run(capsys, ["eichler", "--n", "5", "--verify"]) == (0, EICHLER_5_VERIFY, "")
+    assert calls == {"is_isometry": 4, "apply": 2, "xi_basis": 1}
+
+
 def test_eichler_verify_fails_on_discriminant(capsys, monkeypatch):
     # -id is an isometry, but acts as -1 on the discriminant group Z/8 of Xi(5)
-    minus_id = {j: {j: -1} for j in range(23)}
-    monkeypatch.setattr(
-        lattice, "build_alpha", lambda n: lattice.LatticeMap(lattice.build_xi(n), minus_id)
-    )
+    xi = lattice.build_xi(5)
+    minus_id = lattice.LatticeMap(xi, {j: {j: -1} for j in range(23)})
+    u, v, ell = (lattice.xi_basis(xi)[k] for k in ("u", "v", "l"))
+    images = (-(u + 17 * v - 2 * ell), -(8 * (u + 17 * v) - 17 * ell))
+    monkeypatch.setattr(lattice, "build_alpha", lambda n: (minus_id, *images))
     code, out, err = run(capsys, ["eichler", "--n", "5", "--verify"])
     assert code == 1
     assert out.splitlines()[3:] == [
@@ -398,10 +423,11 @@ def test_eichler_verify_fails_on_discriminant(capsys, monkeypatch):
 
 
 def test_eichler_rejects_non_isometry(capsys, monkeypatch):
-    alpha = lattice.build_alpha(5)
-    # v2 -> v2 + l, of square -8: no longer isotropic
+    alpha, *images = lattice.build_alpha(5)
+    # v2 -> v2 + l, of square -8: no longer isotropic; the two defining
+    # inputs have no v2 coordinate, so their images stay those of alpha
     bad = lattice.LatticeMap(alpha.lattice, {**alpha.moved, 5: {5: 1, 22: 1}})
-    monkeypatch.setattr(lattice, "build_alpha", lambda n: bad)
+    monkeypatch.setattr(lattice, "build_alpha", lambda n: (bad, *images))
     code, out, err = run(capsys, ["eichler", "--n", "5", "--verify"])
     assert (code, out) == (1, "")
     assert err == "k3invol: error: the map must be an isometry\n"

@@ -11,7 +11,6 @@ from k3invol.cli import main as cli_main
 from k3invol.hilbcone import (
     DivisorClass,
     WallRecord,
-    _appendix,
     bb_form,
     enumerate_walls,
     involution_action,
@@ -254,6 +253,15 @@ def test_each_wall_built_once(monkeypatch):
             enumerate_walls(n, full)
             assert calls[0] == 1, (n, full)
 
+    # the appendix mode has the middle wall alone, by the proof in the
+    # hilbcone module docstring, and never runs the kernel
+    def no_kernel(n):
+        raise AssertionError("the appendix mode called the kernel")
+
+    monkeypatch.setattr(kernel, "interior_walls", no_kernel)
+    for n in (2, 3, 47, 10**6):
+        assert enumerate_walls(n, False) == [middle_wall(n)], n
+
 
 def test_scan_rows_agreement():
     rows = scan_rows(2, 60)
@@ -291,25 +299,6 @@ def test_scan_reports_full_only_witness(monkeypatch, capsys):
     assert "FINDING: mode disagreement: n=7 rho=5 alpha=14 X=26 Y=1" in out
 
 
-def test_appendix_filter_keeps_the_historical_cases():
-    # bare (rho, alpha, X, Y) tuples, not walls: no interior wall passes the
-    # filter (see _appendix), so its kept side is reachable only this way.
-    # n = 10: 2(n-1) = 18, and the cut is rho < floor(9/4) = 2
-    kept = [(-1, 3, 3, 1), (0, 5, 13, 1), (1, 5, 5, 1), (1, 7, 11, 2)]
-    dropped = [
-        (2, 9, 9, 1),  # the top rho, with literal X
-        (-1, 3, 21, 1),  # X == alpha (mod 18) but X >= 18
-        (0, 5, 31, 1),  # X == -alpha (mod 18) but X >= 18
-        (1, 7, 43, 2),  # X == alpha (mod 18), at Y = 2
-    ]
-    assert _appendix(10, [x for pair in zip(dropped, kept) for x in pair]) == kept
-    # n < 5: floor((n-1)/4) = 0, and the cut still keeps rho = -1 and 0
-    assert _appendix(4, [(0, 3, 3, 1), (1, 3, 3, 1), (-1, 1, 5, 1)]) == [
-        (0, 3, 3, 1),
-        (-1, 1, 5, 1),
-    ]
-
-
 def test_appendix_modes_agree_on_injected_walls(monkeypatch, capsys):
     # valid walls at n = 13 (t = 49, 2(n-1) = 24, top rho 3) on both sides
     # of the middle wall: X >= 2(n-1) in the right class below the cut, the
@@ -321,7 +310,6 @@ def test_appendix_modes_agree_on_injected_walls(monkeypatch, capsys):
     monkeypatch.setattr(kernel, "interior_walls", lambda n: sols)
     assert all(X > t * Y for _, _, X, Y in below)
     assert all(X < t * Y for _, _, X, Y in above)
-    assert _appendix(n, sols) == []  # every one of them is dropped
 
     (row,) = scan_rows(n, n)
     assert (row.c_full, row.c_appendix) == (1 + len(below), 1)

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from k3invol import kernel
-from k3invol.hilbcone import DivisorClass, _appendix, involution_action
+from k3invol.hilbcone import DivisorClass, involution_action
 from pell_reference import case_pairs
 
 
@@ -34,11 +34,9 @@ def y_scan(n, full_congruence, appendix_cases, t=None):
 
 def test_kernel_matches_y_scan_oracle():
     for n in range(2, 151):
-        walls = kernel.interior_walls(n)
-        assert walls == y_scan(n, True, False), n
-        # no interior wall passes the appendix filter, and the historical
-        # y-scan finds none either: the proof is in hilbcone._appendix
-        assert _appendix(n, walls) == [], n
+        assert kernel.interior_walls(n) == y_scan(n, True, False), n
+        # the historical y-scan finds no interior wall, so the appendix
+        # mode's C_n is 1: the proof is in the hilbcone module docstring
         assert y_scan(n, False, True) == [], n
 
 
@@ -62,12 +60,11 @@ def test_lower_half_matches_oracle_on_generalized_t(data):
     )
     below = _strictly_below(got, t)
     assert below == _strictly_below(y_scan(n, True, False, t), t)
-    # no solution of any t >= n-1 passes the appendix filter or the
-    # historical y-scan.  X = alpha forces rho = tY^2, above the cut, as in
-    # the proof in hilbcone._appendix; that proof excludes X = 2(n-1) - alpha
-    # by X >= t > 2(n-1), which needs t = 4n-3, but for any t >= n-1 that X
+    # no solution of any t >= n-1 passes the historical y-scan.  X = alpha
+    # forces rho = tY^2, above the cut, as in the proof in the hilbcone
+    # module docstring; that proof excludes X = 2(n-1) - alpha by
+    # X >= t > 2(n-1), which needs t = 4n-3, but for any t >= n-1 that X
     # forces rho = tY^2 + alpha - (n-1) >= alpha, so A <= alpha(alpha - 4(n-1)) < 0
-    assert _appendix(n, got) == []
     assert y_scan(n, False, True, t) == []
 
 

@@ -294,12 +294,12 @@ def test_transvection_additivity_on_orthogonal_arguments():
 def test_build_alpha_images_and_checks():
     for n in (2, 3, 5, 11):
         t = 4 * n - 3
-        alpha = build_alpha(n)  # raises if either image identity fails
+        alpha, fixed, kappa = build_alpha(n)  # raises if either image identity fails
         b = xi_basis(alpha.lattice)
         u, v, v1, ell = b["u"], b["v"], b["v1"], b["l"]
-        assert alpha.apply(u + t * v - 2 * ell) == u + v
-        kappa = 2 * (n - 1) * (u - v) + 4 * (n - 1) * v1 - ell
-        assert alpha.apply(2 * (n - 1) * (u + t * v) - t * ell) == kappa
+        assert alpha.apply(u + t * v - 2 * ell) == fixed == u + v
+        expect = 2 * (n - 1) * (u - v) + 4 * (n - 1) * v1 - ell
+        assert alpha.apply(2 * (n - 1) * (u + t * v) - t * ell) == kappa == expect
         assert alpha.is_isometry()
         assert acts_trivially_on_discriminant(alpha)
 
@@ -314,7 +314,7 @@ def test_isometry_matches_dense_oracle_on_alpha_and_its_transvections():
             transvection(u1, -v),
             transvection(v1, (t - 1) * v - 2 * ell),
             transvection(u1, v),
-            build_alpha(n),
+            build_alpha(n)[0],
         ]
         for m in maps:
             assert m.is_isometry() and dense_is_isometry(m), n
@@ -325,7 +325,7 @@ def test_isometry_matches_dense_oracle_on_perturbed_alpha():
     for _ in range(400):
         n = rng.randint(2, 200)
         i, j = rng.randrange(23), rng.randrange(23)
-        m = perturbed(build_alpha(n), i, j, rng.choice((-2, -1, 1, 2)))
+        m = perturbed(build_alpha(n)[0], i, j, rng.choice((-2, -1, 1, 2)))
         assert m.is_isometry() == dense_is_isometry(m), (n, i, j)
 
 
@@ -345,7 +345,7 @@ ALPHA_MUTANTS = {
 @pytest.mark.parametrize("i, j, d", ALPHA_MUTANTS.values(), ids=ALPHA_MUTANTS.keys())
 def test_isometry_rejects_perturbed_alpha(i, j, d):
     for n in (2, 7, 130):
-        m = perturbed(build_alpha(n), i, j, d)
+        m = perturbed(build_alpha(n)[0], i, j, d)
         assert not dense_is_isometry(m)
         assert not m.is_isometry()
 
