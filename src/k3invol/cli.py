@@ -403,7 +403,7 @@ def cmd_pell(args) -> int:
         if args.kind == "fundamental":
             sol = pell.fundamental_solution(args.d)
         else:
-            sol = pell.negative_pell_minimal(args.d)
+            sol = pell.negative_pell_minimal(args.d, max_period=pell.MAX_PERIOD)
         obj = {
             "kind": args.kind,
             "D": args.d,

@@ -13,14 +13,20 @@ moved columns {j: image of e_j}, kept only where the image is not e_j.
 Alpha and the transvections it is built from move at most five of the
 23 basis vectors (u, v, u1, v1, l), so composing, applying and checking
 a map costs O(moved columns x nonzeros), not O(rank^2).  The dense
-``gram`` and ``matrix`` are read-only views for test oracles.  Nothing
-is cached: ``build_alpha(n)`` returns alpha together with the images of
-its two defining inputs, which it has just checked, and a caller that
-also needs Xi(n) reads it from ``alpha.lattice``.
+``gram`` and ``matrix`` are read-only views for test oracles.
+
+The Gram rows of a U or E8(-1) block at a given offset are built once and
+shared, never mutated, by every lattice that has the block there; they do
+not depend on n, so the table stays small.  No lattice, map or result is
+cached: ``build_alpha(n)`` works on the nonzero coordinates of its
+transvection arguments and test vectors, and returns alpha together with
+the images of its two defining inputs, which it has just checked; a
+caller that also needs Xi(n) reads it from ``alpha.lattice``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from operator import add, neg, sub
@@ -54,6 +60,12 @@ U, E8_MINUS = "U", "E8(-1)"
 _BLOCK_ROWS = {U: _block_rows(((0, 1), (1, 0))), E8_MINUS: _block_rows(_e8_minus_gram())}
 
 
+@functools.lru_cache(maxsize=128)
+def _offset_rows(block: str, off: int) -> tuple[dict[int, int], ...]:
+    """The rows of a unimodular block whose first basis index is ``off``."""
+    return tuple({off + j: g for j, g in row.items()} for row in _BLOCK_ROWS[block])
+
+
 @dataclass(frozen=True)
 class IntegerLattice:
     """Even nondegenerate lattice, the orthogonal sum of ``summands``: each is
@@ -74,16 +86,16 @@ class IntegerLattice:
         rows, rank_one = [], []
         for s in summands:
             if isinstance(s, str) and s in _BLOCK_ROWS:
-                block = _BLOCK_ROWS[s]
+                rows += _offset_rows(s, len(rows))
             elif isinstance(s, int):
                 if s == 0:
                     raise ValueError("rank-one summands must be nonzero (nondegenerate)")
+                if s % 2:
+                    raise ValueError("diagonal entries must be even (even lattice)")
                 rank_one.append((len(rows), s))
-                block = _block_rows(((s,),))
+                rows.append({len(rows): s})
             else:
                 raise ValueError(f"unknown summand {s!r}")
-            off = len(rows)
-            rows += ({off + j: g for j, g in row.items()} for row in block)
         object.__setattr__(self, "summands", summands)
         object.__setattr__(self, "gram_rows", tuple(rows))
         object.__setattr__(self, "rank_one", tuple(rank_one))
@@ -173,8 +185,7 @@ class LatticeMap:
         return {i: x for i, x in out.items() if x}
 
     def apply(self, e: LatticeElement) -> LatticeElement:
-        image, r = self._push(_nonzero(e.coords)), self.lattice.rank
-        return LatticeElement(self.lattice, tuple(image.get(i, 0) for i in range(r)))
+        return _element(self.lattice, self._push(_nonzero(e.coords)))
 
     def compose(self, other: "LatticeMap") -> "LatticeMap":
         """self after other: the moved columns of other pushed through self, those of
@@ -195,14 +206,24 @@ class LatticeMap:
         vanish outside the rows met by M e_i and row i of G), and against
         a moved e_j it is a dot product over the nonzeros of M e_j.
         """
-        moved = self.moved
+        moved, rows = self.moved, self.lattice.gram_rows
         for i, col in moved.items():
-            g_i, gm_i = self.lattice.gram_rows[i], self.lattice.gram_product(col)
-            for j in gm_i.keys() | g_i.keys():
-                if j not in moved and gm_i.get(j, 0) != g_i.get(j, 0):
+            gm_i: dict[int, int] = {}  # G M e_i, as in gram_product
+            for k, c in col.items():
+                for j, g in rows[k].items():
+                    gm_i[j] = gm_i.get(j, 0) + c * g
+            g_i = rows[i]
+            for j, p in gm_i.items():
+                if j not in moved and p != g_i.get(j, 0):
+                    return False
+            for j in g_i:  # G_ij != 0, so (M e_i, e_j) must be too
+                if j not in gm_i and j not in moved:
                     return False
             for j, col_j in moved.items():
-                if _dot(col_j, gm_i) != g_i.get(j, 0):
+                pair = 0
+                for k, c in col_j.items():
+                    pair += c * gm_i.get(k, 0)
+                if pair != g_i.get(j, 0):
                     return False
         return True
 
@@ -215,7 +236,11 @@ def transvection(x: LatticeElement, y: LatticeElement) -> LatticeMap:
     lat = x.lattice
     if lat is not y.lattice and lat != y.lattice:
         raise ValueError("x and y must live in the same lattice")
-    xs, ys = _nonzero(x.coords), _nonzero(y.coords)
+    return _transvection(lat, _nonzero(x.coords), _nonzero(y.coords))
+
+
+def _transvection(lat: IntegerLattice, xs: dict[int, int], ys: dict[int, int]) -> LatticeMap:
+    """t(x, y) from the nonzero coordinates {i: c} of x and y."""
     gx, gy = lat.gram_product(xs), lat.gram_product(ys)  # entry j: (x, e_j), (y, e_j)
     if _dot(xs, gx) != 0:
         raise ValueError("t(x, y) requires (x, x) = 0")
@@ -274,21 +299,22 @@ def build_alpha(n: int) -> tuple[LatticeMap, LatticeElement, LatticeElement]:
     The second input is the integral generator of the orthogonal
     complement of the marked class inside the rank-two algebraic part,
     transported through the same marking (H_n -> u + tv, delta -> l).
+    Every vector here is given by its nonzero coordinates over the named
+    indices of u, v, u1, v1 and l, which are all nonzero for n >= 2.
     """
-    t = 4 * n - 3
-    b = xi_basis(build_xi(n))
-    u, v, u1, v1, ell = b["u"], b["v"], b["u1"], b["v1"], b["l"]
-    w_prime = (t - 1) * v - 2 * ell
+    lat = build_xi(n)
+    t, m = 4 * n - 3, 2 * (n - 1)
+    u, v, u1, v1, ell = _IDX_U, _IDX_V, _IDX_U1, _IDX_V1, _IDX_ELL
     alpha = (
-        transvection(u1, -v)
-        .compose(transvection(v1, w_prime))
-        .compose(transvection(u1, v))
+        _transvection(lat, {u1: 1}, {v: -1})
+        .compose(_transvection(lat, {v1: 1}, {v: t - 1, ell: -2}))
+        .compose(_transvection(lat, {u1: 1}, {v: 1}))
     )
-    fixed = alpha.apply(u + t * v - 2 * ell)
-    if fixed != u + v:
+    fixed = alpha.apply(_element(lat, {u: 1, v: t, ell: -2}))
+    if fixed != _element(lat, {u: 1, v: 1}):
         raise AssertionError("alpha does not send u + tv - 2l to u + v")
-    kappa = alpha.apply(2 * (n - 1) * (u + t * v) - t * ell)
-    if kappa != 2 * (n - 1) * (u - v) + 4 * (n - 1) * v1 - ell:
+    kappa = alpha.apply(_element(lat, {u: m, v: m * t, ell: -t}))
+    if kappa != _element(lat, {u: m, v: -m, v1: 2 * m, ell: -1}):
         raise AssertionError("alpha does not send 2(n-1)(u+tv) - tl to kappa")
     return alpha, fixed, kappa
 
@@ -321,6 +347,14 @@ def acts_trivially_on_discriminant(m: LatticeMap) -> bool:
         if any((col.get(i, 0) - (i == j)) % d for i in col.keys() | {j}):
             return False
     return True
+
+
+def _element(lat: IntegerLattice, vec: dict[int, int]) -> LatticeElement:
+    """The element of ``lat`` with nonzero coordinates {i: c}."""
+    coords = [0] * lat.rank
+    for i, c in vec.items():
+        coords[i] = c
+    return LatticeElement(lat, tuple(coords))
 
 
 def _nonzero(coords: Sequence[int]) -> dict[int, int]:

@@ -92,11 +92,12 @@ def standard_vectors(
 
 
 def v_i(ctx: MukaiContext, i: int) -> MukaiVector:
-    """v^(i) = v - (i+1)a = (2i+3, -(i+1), (2i+1)n - i); v^(-1) = v, v^(0) = w."""
+    """v^(i) = v - (i+1)a = (2i+3, -(i+1), (2i+1)n - i); v^(-1) = v, v^(0) = w.
+
+    The closed form is returned directly, without building v and a."""
     if i < -1:
         raise ValueError("i must be at least -1")
-    v, a, _, _ = standard_vectors(ctx)
-    return v - (i + 1) * a
+    return MukaiVector(2 * i + 3, -(i + 1), (2 * i + 1) * ctx.n - i)
 
 
 def r_max(ctx: MukaiContext) -> int:
@@ -212,10 +213,11 @@ def positive_decomposition_search(
         raise ValueError("bound must be at least 0")
     if ctx.n < (i + 1) * (i + 2):
         raise ValueError("requires n >= (i+1)(i+2)")
+    n = ctx.n
     vi = v_i(ctx, i)
-    v, a, _, _ = standard_vectors(ctx)
+    v, a = MukaiVector(1, 0, -(n - 1)), MukaiVector(-2, 1, -(2 * n - 1))
     found = []
-    for x, y in _decompositions(ctx.n, 1, -(i + 1), bound):
+    for x, y in _decompositions(n, 1, -(i + 1), bound):
         w1 = x * v + y * a
         found.append((w1, vi - w1))
     return found

@@ -14,9 +14,10 @@ import math
 from typing import NamedTuple, Optional
 
 # Longest continued-fraction period of sqrt(D) that fundamental_solution
-# walks.  The solution grows by about half a decimal digit per term (Levy's
-# constant), so a longer period means a solution of thousands of digits,
-# and periods near sqrt(D) would take longer than any caller can wait.
+# walks, and negative_pell_minimal when its caller passes it.  The
+# solution grows by about half a decimal digit per term (Levy's constant),
+# so a longer period means a solution of thousands of digits, and periods
+# near sqrt(D) would take longer than any caller can wait.
 MAX_PERIOD = 10**4
 
 
@@ -86,7 +87,9 @@ def fundamental_solution(D: int) -> PellSolution:
     raise AssertionError("unreachable: Pell equation always has a solution")
 
 
-def negative_pell_minimal(D: int) -> Optional[PellSolution]:
+def negative_pell_minimal(
+    D: int, max_period: int | None = None
+) -> Optional[PellSolution]:
     """Minimal (x, y) > 0 with x^2 - D*y^2 = -1, or None if unsolvable.
 
     Fast rejection: -1 is not a square modulo 4 or modulo any prime
@@ -97,6 +100,14 @@ def negative_pell_minimal(D: int) -> Optional[PellSolution]:
     exists, is the convergent closing the first (odd-length) period, and
     that convergent (followed by the partial quotient 2*a0) is the only
     one tested.
+
+    Raises ValueError when the period is longer than ``max_period`` terms;
+    None walks the whole period.  ``pell --kind negative`` passes
+    MAX_PERIOD, because a user's D may be large enough that its period
+    takes longer than any caller can wait.  ``sigma`` passes nothing: its
+    D is delta = t(n-3)/g^2 < 4n^2, whose period is the one the user asked
+    about by choosing n (``sigma --n 11165`` walks 13340 terms, past
+    MAX_PERIOD, in well under a second).
     """
     if D <= 0:
         raise ValueError("D must be positive")
@@ -108,11 +119,16 @@ def negative_pell_minimal(D: int) -> Optional[PellSolution]:
     if odd % 4 == 3 or smallest_prime_factor_3_mod_4(odd, 10**4) is not None:
         return None
     a0 = math.isqrt(D)
-    for p, q, a in _sqrt_cf_convergents(D):
+    for k, (p, q, a) in enumerate(_sqrt_cf_convergents(D)):
         if a == 2 * a0:  # not the first item, whose a is a0 >= 1
             # an even period closes with +1: no solution
             x, y = prev
             return PellSolution(x, y) if x * x - D * y * y == -1 else None
+        if max_period is not None and k >= max_period:
+            raise ValueError(
+                f"the continued-fraction period of sqrt({D}) is longer than "
+                f"{max_period} terms; its negative Pell equation is not decided"
+            )
         prev = p, q
     raise AssertionError("unreachable")
 

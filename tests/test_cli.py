@@ -311,25 +311,43 @@ def test_pell_verify_is_fast_for_long_periods(capsys):
     assert elapsed < 5.0, f"pell --verify took {elapsed:.1f}s"
 
 
-def test_pell_fundamental_fails_fast_on_a_long_period():
-    # sqrt(10^25 + 3) has a period of about 10^12 terms; the command must
-    # stop at pell.MAX_PERIOD with an error, not walk it
+def _pell_in_child(kind, d):
+    """(exit code, stdout, stderr) of ``pell --kind KIND --d D`` in a child
+    process, killed after 20 s so that an endless walk fails the test."""
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(os.path.abspath(k3invol.__file__)))
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    d = str(10**25 + 3)
     code = (
         "import sys; from k3invol.cli import main; "
-        f"sys.exit(main(['pell', '--kind', 'fundamental', '--d', '{d}']))"
+        f"sys.exit(main(['pell', '--kind', '{kind}', '--d', '{d}']))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=20
     )
-    assert proc.returncode == 1
-    assert proc.stdout == ""
-    assert proc.stderr == (
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_pell_fundamental_fails_fast_on_a_long_period():
+    # sqrt(10^25 + 3) has a period of about 10^12 terms; the command must
+    # stop at pell.MAX_PERIOD with an error, not walk it
+    d = 10**25 + 3
+    assert _pell_in_child("fundamental", d) == (
+        1,
+        "",
         f"k3invol: error: the continued-fraction period of sqrt({d}) is longer than "
-        "10000 terms; its fundamental solution is not computed\n"
+        "10000 terms; its fundamental solution is not computed\n",
+    )
+
+
+def test_pell_negative_fails_fast_on_a_long_period():
+    # 10^25 + 13 == 1 (mod 4) passes every p == 3 (mod 4) shortcut, so only
+    # the period walk can decide it, and that period is far past the limit
+    d = 10**25 + 13
+    assert _pell_in_child("negative", d) == (
+        1,
+        "",
+        f"k3invol: error: the continued-fraction period of sqrt({d}) is longer than "
+        "10000 terms; its negative Pell equation is not decided\n",
     )
 
 
@@ -340,8 +358,8 @@ def test_pell_verify_rejects_non_minimal_solution(capsys, monkeypatch):
         x, y = fundamental_solution(d)
         return PellSolution(x * x + d * y * y, 2 * x * y)
 
-    def cube(d):
-        x, y = negative_pell_minimal(d)
+    def cube(d, max_period=None):
+        x, y = negative_pell_minimal(d, max_period)
         return PellSolution(x**3 + 3 * d * x * y * y, 3 * x * x * y + d * y**3)
 
     monkeypatch.setattr(pell, "fundamental_solution", square)
@@ -401,9 +419,8 @@ def test_eichler_runs_each_check_once(capsys, monkeypatch):
 
     count(lattice.LatticeMap, "is_isometry")
     count(lattice.LatticeMap, "apply")
-    count(lattice, "xi_basis")
     assert run(capsys, ["eichler", "--n", "5", "--verify"]) == (0, EICHLER_5_VERIFY, "")
-    assert calls == {"is_isometry": 4, "apply": 2, "xi_basis": 1}
+    assert calls == {"is_isometry": 4, "apply": 2}
 
 
 def test_eichler_verify_fails_on_discriminant(capsys, monkeypatch):

@@ -304,6 +304,21 @@ def test_build_alpha_images_and_checks():
         assert acts_trivially_on_discriminant(alpha)
 
 
+def test_build_alpha_matches_the_public_transvections():
+    # build_alpha works on nonzero coordinates; the same composition of the
+    # public transvection on xi_basis elements is its oracle
+    for n in [*range(2, 301), 10**6]:
+        t = 4 * n - 3
+        b = xi_basis(build_xi(n))
+        u1, v, v1, ell = b["u1"], b["v"], b["v1"], b["l"]
+        expect = (
+            transvection(u1, -v)
+            .compose(transvection(v1, (t - 1) * v - 2 * ell))
+            .compose(transvection(u1, v))
+        )
+        assert build_alpha(n)[0].moved == expect.moved, n
+
+
 def test_isometry_matches_dense_oracle_on_alpha_and_its_transvections():
     for n in range(2, 201):
         t = 4 * n - 3
@@ -346,6 +361,17 @@ ALPHA_MUTANTS = {
 def test_isometry_rejects_perturbed_alpha(i, j, d):
     for n in (2, 7, 130):
         m = perturbed(build_alpha(n)[0], i, j, d)
+        assert not dense_is_isometry(m)
+        assert not m.is_isometry()
+
+
+def test_isometry_rejects_a_lost_pairing_with_a_fixed_vector():
+    # (u, v) = 1 with v fixed; u -> v and u -> 0 keep every pairing among
+    # moved columns and meet no fixed e_j in G M e_u = G v or 0, so only the
+    # entry G_uv, compared against (M e_u, e_v) = 0, shows the fault
+    lat = IntegerLattice([U, U])
+    for col in ({1: 1}, {}):
+        m = LatticeMap(lat, {0: col})
         assert not dense_is_isometry(m)
         assert not m.is_isometry()
 

@@ -78,8 +78,10 @@ def test_v_i_values_and_squares():
     assert mukai_pairing(ctx, v1, v1) == -2
     for n in range(2, 501):
         ctx = MukaiContext(n)
+        v, a, _, _ = standard_vectors(ctx)
         for i in range(-1, r_max(ctx) + 3):
             vi = v_i(ctx, i)
+            assert vi == v - (i + 1) * a  # the definition, as the oracle
             assert vi == MukaiVector(
                 2 * i + 3, -(i + 1), (2 * i + 1) * n - i
             )

@@ -233,6 +233,13 @@ def test_fundamental_stops_past_the_period_limit(monkeypatch):
         fundamental_solution(61)
 
 
+def test_negative_stops_past_the_period_limit():
+    # sqrt(61) has the odd period 11, so x^2 - 61y^2 = -1 is solvable
+    assert negative_pell_minimal(61, max_period=11) == (29718, 3805)
+    with pytest.raises(ValueError, match="longer than 10 terms"):
+        negative_pell_minimal(61, max_period=10)
+
+
 def test_negative_pell_past_the_trial_limit():
     # both factors are primes == 3 (mod 4) above the trial limit 10^4, and
     # d == 1 (mod 4), so the continued-fraction period decides

@@ -1,6 +1,7 @@
 import pytest
 
 from k3invol.mukai import MukaiContext, MukaiVector, mukai_pairing, standard_vectors
+from k3invol.pell import MAX_PERIOD, negative_pell_minimal
 from k3invol.sigma import (
     BirStatus,
     bir_finiteness,
@@ -108,3 +109,14 @@ def test_formula_helpers():
     assert (deg, total, div) == (2, 20, True)
     for n in range(2, 60):
         assert cover_degree_bound(n)[2] is True
+
+
+def test_bir_finiteness_walks_a_period_past_the_pell_limit():
+    # delta(11165) = 498461434 has a continued-fraction period of 13340
+    # terms, more than pell.MAX_PERIOD; sigma passes no limit, so the walk
+    # still decides the negative Pell equation (unsolvable: even period)
+    verdict = bir_finiteness(11165)
+    assert verdict.pell_d == 498461434
+    assert verdict.status == BirStatus.UNKNOWN and verdict.witness is None
+    with pytest.raises(ValueError, match=f"longer than {MAX_PERIOD} terms"):
+        negative_pell_minimal(498461434, max_period=MAX_PERIOD)
