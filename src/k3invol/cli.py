@@ -5,6 +5,13 @@ Exit codes: 0 success, 1 usage or computation error, 2 mathematically
 surprising finding (a chamber count above 1, a congruence-mode
 disagreement, or a lemma search returning something unexpected).
 Library modules are imported by the subcommand that uses them.
+
+When argv[0] names a subcommand, main parses argv[1:] with that
+subcommand's parser alone; any other argv (none, -h, an unknown or
+abbreviated name) goes through the full parser, the oracle in the tests.
+JSON is written by _json, whose oracle there is json.dumps(obj,
+sort_keys=True, indent=2).  CPython's limit on the digits of an
+int-to-str conversion is lifted while a subcommand runs.
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ import json
 import math
 import sys
 from functools import cache
+from gettext import gettext
 
 VERIFIED_SCAN_MAX = 200  # chamber counts at or below this n are the established baseline
 
@@ -30,8 +38,46 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_ERROR)
 
 
+_JSON_SCALARS = {  # by exact type; int.__repr__ as in json
+    str: json.encoder.encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {False: "false", True: "true"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
+def _json(obj, indent: str) -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)`` nested at ``indent``
+    (a newline and two spaces a level) for dicts with str keys, lists, str,
+    int, bool and None; TypeError on anything else.  CPython encodes
+    indented JSON in pure Python; here each scalar child is encoded in its
+    parent's loop."""
+    scalar = _JSON_SCALARS.get
+    enc = scalar(type(obj))
+    if enc is not None:
+        return enc(obj)
+    inner = indent + "  "
+    parts = []
+    if type(obj) is dict:
+        if not obj:
+            return "{}"
+        key = _JSON_SCALARS[str]  # raises TypeError on a key that is no str
+        for k, v in sorted(obj.items()):
+            enc = scalar(type(v))
+            parts.append(key(k) + ": " + (enc(v) if enc else _json(v, inner)))
+        return "{" + inner + ("," + inner).join(parts) + indent + "}"
+    if type(obj) is list:
+        if not obj:
+            return "[]"
+        for v in obj:
+            enc = scalar(type(v))
+            parts.append(enc(v) if enc else _json(v, inner))
+        return "[" + inner + ("," + inner).join(parts) + indent + "]"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def _emit_json(obj) -> None:
-    print(json.dumps(obj, sort_keys=True, indent=2))
+    print(_json(obj, "\n"))
 
 
 def _emit_csv(header, rows) -> None:
@@ -533,12 +579,20 @@ def _add_common(
 
 
 @cache
-def build_parser() -> _Parser:
-    """The parser of every subcommand, built on first use and then reused."""
-    parser = _Parser(prog="k3invol", description=__doc__)
+def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+    """The top-level parser and ``{name: subparser}``, built on first use
+    and then reused."""
+    # --help shows the module docstring up to its notes on the fast paths
+    parser = _Parser(prog="k3invol", description=__doc__ and __doc__.rsplit("\n\n", 1)[0])
     sub = parser.add_subparsers(dest="command", required=True)
+    subparsers = {}
 
-    p = sub.add_parser("scan", help="chamber counts C_n over a range of n")
+    def add(name, help, func):
+        p = subparsers[name] = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        return p
+
+    p = add("scan", "chamber counts C_n over a range of n", cmd_scan)
     p.add_argument("--min-n", type=int, required=True)
     p.add_argument("--max-n", type=int, required=True)
     p.add_argument(
@@ -548,57 +602,72 @@ def build_parser() -> _Parser:
         help="accepted for old scripts; scans run in one process",
     )
     _add_common(p, with_mode=True)
-    p.set_defaults(func=cmd_scan)
 
-    p = sub.add_parser("walls", help="interior wall records for one n")
+    p = add("walls", "interior wall records for one n", cmd_walls)
     p.add_argument("--n", type=int, required=True)
     _add_common(p, with_mode=True, with_verify=True)
-    p.set_defaults(func=cmd_walls)
 
-    p = sub.add_parser("sigma", help="NS lattice / finiteness data of the moduli space")
+    p = add("sigma", "NS lattice / finiteness data of the moduli space", cmd_sigma)
     p.add_argument("--n", type=int, required=True)
     _add_common(p, with_verify=True)
-    p.set_defaults(func=cmd_sigma)
 
-    p = sub.add_parser("strata", help="indeterminacy-locus stratification table")
+    p = add("strata", "indeterminacy-locus stratification table", cmd_strata)
     p.add_argument("--n", type=int, required=True)
     _add_common(p, with_verify=True)
-    p.set_defaults(func=cmd_strata)
 
-    p = sub.add_parser("lemmas", help="brute-force spherical/positive class searches")
+    p = add("lemmas", "brute-force spherical/positive class searches", cmd_lemmas)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--bound", type=int, default=50)
     _add_common(p, formats=("text", "json"))
-    p.set_defaults(func=cmd_lemmas)
 
-    p = sub.add_parser("pell", help="Pell equation solvers")
+    p = add("pell", "Pell equation solvers", cmd_pell)
     p.add_argument("--kind", choices=("fundamental", "negative", "mixed"), required=True)
     p.add_argument("--d", type=int, default=None)
     p.add_argument("--p", type=int, default=None)
     p.add_argument("--q", type=int, default=None)
     p.add_argument("--bound", type=int, default=10**5)
     _add_common(p, with_verify=True)
-    p.set_defaults(func=cmd_pell)
 
-    p = sub.add_parser("eichler", help="period-lattice isometry verification")
+    p = add("eichler", "period-lattice isometry verification", cmd_eichler)
     p.add_argument("--n", type=int, required=True)
     _add_common(p, with_verify=True, formats=("text", "json"))
-    p.set_defaults(func=cmd_eichler)
 
-    p = sub.add_parser("formulas", help="dimension and degree formulas for one n")
+    p = add("formulas", "dimension and degree formulas for one n", cmd_formulas)
     p.add_argument("--n", type=int, required=True)
     _add_common(p)
-    p.set_defaults(func=cmd_formulas)
-    return parser
+    return parser, subparsers
+
+
+def _parse(argv) -> argparse.Namespace:
+    parser, subparsers = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    sub = subparsers.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    # the full parser hands all of argv[1:] to this subparser and rejects
+    # what it leaves with the top-level usage
+    args, extras = sub.parse_known_args(argv[1:])
+    if extras:
+        parser.error(gettext("unrecognized arguments: %s") % " ".join(extras))
+    args.command = argv[0]
+    return args
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse(argv)
+    # exact answers can pass CPython's 4300-digit limit on int-to-str
+    # conversion; it stays in force while arguments are parsed
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except (ValueError, OverflowError) as exc:
         print(f"k3invol: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

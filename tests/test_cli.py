@@ -1,11 +1,16 @@
 import ast
+import contextlib
+import csv
 import json
+import math
 import os
 import subprocess
 import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import k3invol
 from k3invol import cli, hilbcone, lattice, pell, sigma
@@ -507,3 +512,193 @@ def test_module_errors_exit_one(capsys):
     assert code == 1 and "error" in err
     code, _, err = run(capsys, ["sigma", "--n", "3"])
     assert code == 1
+
+
+# ---------------------------------------------------------------- JSON and dispatch
+
+_JSON_TEXT = st.text() | st.text(alphabet='"\\/\n\t\x00\x1f\x7f\u00e9\u2028\U0001f600 ')
+_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**60), max_value=10**60)
+    | _JSON_TEXT,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(_JSON_TEXT, children, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_VALUES)
+def test_json_matches_the_stdlib_indent_encoder(obj):
+    assert cli._json(obj, "\n") == json.dumps(obj, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("obj", [1.5, (1, 2), {1: "a"}, [{"a": [0.0]}], {"a": {None: 1}}, [b"x"]])
+def test_json_rejects_what_it_does_not_encode(obj):
+    with pytest.raises(TypeError):
+        cli._json(obj, "\n")
+
+
+# an int past CPython's 4300-digit limit on str-to-int: a usage error, and
+# a quick exit 1 should the limit be off
+_HUGE_ARGV = ["pell", "--kind", "mixed", "--p", "7" * 5000]
+
+# every subcommand, and every way an argv can reach or miss its subparser
+DISPATCH_CORPUS = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["--he"],
+    ["--bogus"],
+    ["--"],
+    ["sca", "--min-n", "2", "--max-n", "3"],
+    ["bogus"],
+    ["-h", "scan"],
+    ["--", "walls", "--n", "5"],
+    ["scan", "--min-n", "2", "--max-n", "5"],
+    ["scan", "--min-n=2", "--max-n=4", "--mode=appendix", "--format=json"],
+    ["scan", "--mi", "2", "--ma", "3", "--format", "csv"],
+    ["scan", "--m", "2"],
+    ["scan", "--min-n", "2", "--max-n", "3", "--bogus"],
+    ["scan", "--min-n", "2", "--max-n", "3", "extra", "--bogus", "x"],
+    ["scan", "--min-n", "2", "--max-n", "3", "--", "x"],
+    ["scan", "--", "--min-n", "2"],
+    ["scan", "--min-n", "2", "--max-n", "3", "--jobs", "0"],
+    ["scan"],
+    ["scan", "-h"],
+    ["walls", "--n", "5", "--verify", "--format", "json"],
+    ["walls", "--n", "x"],
+    ["walls", "--n", "5.0"],
+    ["walls", "--n", "5", "--n", "6", "--format", "csv"],
+    ["walls", "--n", "5", "--format", "xml"],
+    _HUGE_ARGV,
+    ["walls", "--n", "1"],
+    ["walls", "--n", "5", "-h", "--bogus"],
+    ["sigma", "--n", "7", "--verify", "--format", "json"],
+    ["sigma", "--n=4", "--format", "csv"],
+    ["strata", "--n", "6", "--verify"],
+    ["strata", "--n", "6", "--format", "json", "--", "7"],
+    ["lemmas", "--n", "12", "--format", "json"],
+    ["lemmas", "--n", "6", "--format", "csv"],
+    ["lemmas", "--n", "6", "--bound", "-1"],
+    ["pell", "--kind", "fundamental", "--d", "13", "--verify", "--format", "json"],
+    ["pell", "--kind", "mixed", "--p", "2", "--q", "9", "--format", "csv"],
+    ["pell", "--kind", "mixed"],
+    ["pell", "--d", "3"],
+    ["eichler", "--n", "4", "--format", "json"],
+    ["eichler", "--n", "5", "--verify", "extra"],
+    ["eichler", "--n", "6", "--format", "csv"],
+    ["formulas", "--n", "5"],
+    ["formulas", "-n", "5"],
+    ["formulas", "--n", "5", "formulas"],
+]
+
+
+def _outcome(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_dispatch_matches_the_full_parser(capsys, monkeypatch):
+    got = [_outcome(capsys, argv) for argv in DISPATCH_CORPUS]
+    parser, _ = cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", lambda: (parser, {}))  # every argv parsed in full
+    expected = [_outcome(capsys, argv) for argv in DISPATCH_CORPUS]
+    for argv, g, e in zip(DISPATCH_CORPUS, got, expected):
+        assert g == e, argv
+    assert got[DISPATCH_CORPUS.index(_HUGE_ARGV)][0] == ("SystemExit", 1)
+    monkeypatch.undo()
+    for argv, (code, _, _) in zip(DISPATCH_CORPUS, got):
+        if code == 0:
+            assert vars(cli._parse(argv)) == vars(parser.parse_args(argv)), argv
+
+
+def test_dispatch_of_the_process_arguments(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["k3invol", "formulas", "--n", "5", "--bogus"])
+    code, out, err = _outcome(capsys, None)
+    assert (code, out) == (("SystemExit", 1), "")
+    assert err.startswith("usage: k3invol [-h]")
+    assert err.endswith("k3invol: error: unrecognized arguments: --bogus\n")
+
+
+@contextlib.contextmanager
+def _int_digits_unlimited():
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+def _answer(capsys, argv, fmt):
+    """The integers that ``argv --format fmt`` prints as its answer."""
+    code, out, err = run(capsys, [*argv, "--format", fmt])
+    assert (code, err) == (0, "")
+    with _int_digits_unlimited():
+        if fmt == "json":
+            return json.loads(out)
+        if fmt == "csv":
+            header, row = csv.reader(out.splitlines())
+            return dict(zip(header, row))
+        return out
+
+
+def _ints(text):
+    return [int(s) for s in text.split(",")]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_answers_past_4300_digits_print(capsys, fmt):
+    d = 60000011  # the period of sqrt(d) has 8998 terms
+    got = _answer(capsys, ["pell", "--kind", "fundamental", "--d", str(d)], fmt)
+    n = 11720  # the witness of sigma has 5824 digits
+    sig = _answer(capsys, ["sigma", "--n", str(n)], fmt)
+    m = 3577  # the first n whose Catalan degree passes 4300 digits
+    formulas = _answer(capsys, ["formulas", "--n", str(m)], fmt)
+    delta = (4 * n - 3) * (n - 3) // math.gcd(3, n) ** 2
+    with _int_digits_unlimited():
+        if fmt == "json":
+            x, y = map(int, got["solution"])
+            (wx, wy), pell_d = sig["bir"]["witness"], sig["bir"]["pell_d"]
+            catalan = int(formulas["catalan_degree"])
+        elif fmt == "csv":
+            x, y = int(got["solution_x"]), int(got["solution_y"])
+            (wx, wy), pell_d = _ints(sig["witness"]), delta
+            catalan = int(formulas["catalan_degree"])
+        else:
+            x, y = _ints(got.split("=(")[1].split(")")[0])
+            (wx, wy), pell_d = _ints(sig.split("witness=(")[1].split(")")[0]), delta
+            catalan = int(formulas.split("(Catalan) = ")[1].split()[0])
+        assert x * x - d * y * y == 1 and len(str(x)) > 4300
+        assert pell_d == delta and wx * wx - delta * wy * wy == -1 and len(str(wx)) > 4300
+        assert catalan * 2 * m == math.comb(4 * m - 2, 2 * m - 1) and len(str(catalan)) > 4300
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no limit on int-to-str digits"
+)
+def test_main_restores_the_int_digit_limit(capsys):
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4321)
+    try:
+        assert main(["formulas", "--n", "3577", "--format", "json"]) == 0
+        assert sys.get_int_max_str_digits() == 4321
+        assert main(["walls", "--n", "1"]) == 1  # a ValueError from the library
+        assert sys.get_int_max_str_digits() == 4321
+        with pytest.raises(SystemExit) as exc:  # an over-long argument stays a usage error
+            main(_HUGE_ARGV)
+        assert exc.value.code == 1
+        assert sys.get_int_max_str_digits() == 4321
+    finally:
+        sys.set_int_max_str_digits(before)
+    _, err = capsys.readouterr()
+    assert "k3invol pell: error: argument --p: invalid int value" in err
