@@ -22,9 +22,10 @@ that test.  An interior ray has Y(2t-1) < 2X with Y >= 1, so
 X >= t > 2(n-1), and X = 2(n-1) - alpha would need alpha < 0.  X = alpha
 makes a = (0, -Y, X), of square 2tY^2, so rho = tY^2 is above the cut.
 The appendix mode therefore has only the middle wall, which exists for
-every n, and its C_n is 1; nothing replays the program.  Every wall the
-full mode finds below the middle is one the appendix mode misses: a
-reportable finding, not an error.
+every n, and its C_n is 1; nothing replays the program, and neither
+``enumerate_walls`` nor ``scan_rows`` runs the kernel in that mode.
+Every wall the full mode finds below the middle is one the appendix mode
+misses: a reportable finding, not an error.
 """
 
 from __future__ import annotations
@@ -176,30 +177,22 @@ def _distinct_walls(n: int, solutions) -> list[WallRecord]:
 
 
 class ScanRow(NamedTuple):
-    """Per-n comparison of the two congruence modes."""
+    """C_n of one n in one mode, with the walls below the middle that make
+    it exceed 1: in the full mode each is one the appendix mode misses (a
+    mode disagreement); the appendix mode has none."""
 
     n: int
-    c_full: int
-    c_appendix: int
-    full_only_below: tuple[WallRecord, ...]
-
-    @property
-    def disagreement(self) -> bool:
-        return self.c_full != self.c_appendix
+    c_n: int
+    below_middle: tuple[WallRecord, ...]
 
 
-def _scan_row(n: int) -> ScanRow:
-    # the appendix mode's C_n is 1 (see the module docstring), so every
-    # below-middle wall of the full mode is one it misses
-    walls = _distinct_walls(n, kernel.interior_walls(n))
-    below_full = tuple(w for w in walls if w.below_middle)
-    return ScanRow(n=n, c_full=len(below_full) + 1, c_appendix=1, full_only_below=below_full)
-
-
-def scan_rows(n_min: int, n_max: int) -> list[ScanRow]:
-    """C_n in both modes for every n in [n_min, n_max], in n order, with the
-    below-middle records only the full congruence can see (the witnesses of
-    a mode disagreement)."""
+def scan_rows(n_min: int, n_max: int, full_congruence: bool = True) -> list[ScanRow]:
+    """The rows of every n in [n_min, n_max], in n order, each read from
+    ``enumerate_walls(n, full_congruence)``."""
     if not 2 <= n_min <= n_max:
         raise ValueError("need 2 <= n_min <= n_max")
-    return [_scan_row(n) for n in range(n_min, n_max + 1)]
+    rows = []
+    for n in range(n_min, n_max + 1):
+        below = tuple(w for w in enumerate_walls(n, full_congruence) if w.below_middle)
+        rows.append(ScanRow(n, 1 + len(below), below))
+    return rows

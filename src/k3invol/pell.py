@@ -35,24 +35,26 @@ def isqrt(m: int) -> tuple[int, bool]:
 
 
 def _sqrt_cf_convergents(d: int):
-    """Yield the continued-fraction convergents (p, q, a) of sqrt(d).
+    """Yield the continued-fraction convergents (p, q, p^2 - d*q^2) of sqrt(d).
 
-    Standard P-Q recurrence; d must be a positive nonsquare.  The third
-    item is the partial quotient, handy for period detection (the period
-    of sqrt(d) ends exactly when a == 2*a0).
+    Standard P-Q recurrence; d must be a positive nonsquare.  The k-th
+    convergent has p^2 - d*q^2 = (-1)^(k+1) Q_(k+1), read from the walk
+    instead of squared.  Q_j = 1 exactly when the period divides j, so
+    the norm is +-1 exactly at the convergents that close a period.
     """
     a0 = math.isqrt(d)
     p_prev, p = 1, a0
     q_prev, q = 0, 1
     pp, qq, a = 0, 1, a0
-    yield p, q, a
+    sign = -1
     while True:
         pp = a * qq - pp
         qq = (d - pp * pp) // qq
+        yield p, q, sign * qq
+        sign = -sign
         a = (a0 + pp) // qq
         p_prev, p = p, a * p + p_prev
         q_prev, q = q, a * q + q_prev
-        yield p, q, a
 
 
 def fundamental_solution(D: int) -> PellSolution:
@@ -61,29 +63,24 @@ def fundamental_solution(D: int) -> PellSolution:
     Computed from the continued-fraction expansion of sqrt(D); the
     fundamental solution is the first convergent satisfying the equation,
     reached at the end of the first period (or the second when the period
-    is odd).  Only the convergents closing a period (those followed by the
-    partial quotient 2*a0) can satisfy it, so only those are tested.
-    Raises ValueError when the period is longer than MAX_PERIOD = 10^4
-    terms.
+    is odd).  Raises ValueError when the period is longer than
+    MAX_PERIOD = 10^4 terms.
     """
     if D <= 0:
         raise ValueError("D must be positive")
     if isqrt(D)[1]:
         raise ValueError("D must not be a perfect square")
-    a0 = math.isqrt(D)
     period = None
-    for k, (p, q, a) in enumerate(_sqrt_cf_convergents(D)):
-        if k and a == 2 * a0:
-            period = period or k
-            x, y = prev
-            if x * x - D * y * y == 1:
-                return PellSolution(x, y)
+    for k, (p, q, norm) in enumerate(_sqrt_cf_convergents(D), 1):
+        if norm == 1:
+            return PellSolution(p, q)
+        if norm == -1:  # an odd period; the second one closes with +1
+            period = k
         elif period is None and k >= MAX_PERIOD:
             raise ValueError(
                 f"the continued-fraction period of sqrt({D}) is longer than "
                 f"{MAX_PERIOD} terms; its fundamental solution is not computed"
             )
-        prev = p, q
     raise AssertionError("unreachable: Pell equation always has a solution")
 
 
@@ -98,8 +95,7 @@ def negative_pell_minimal(
     division up to 10^4.  The complete decision is the parity of the
     continued-fraction period of sqrt(D): the minimal solution, when it
     exists, is the convergent closing the first (odd-length) period, and
-    that convergent (followed by the partial quotient 2*a0) is the only
-    one tested.
+    an even period closes with +1 instead.
 
     Raises ValueError when the period is longer than ``max_period`` terms;
     None walks the whole period.  ``pell --kind negative`` passes
@@ -118,18 +114,14 @@ def negative_pell_minimal(
     odd = D if D % 2 else D // 2  # D % 4 != 0: at most one factor 2
     if odd % 4 == 3 or smallest_prime_factor_3_mod_4(odd, 10**4) is not None:
         return None
-    a0 = math.isqrt(D)
-    for k, (p, q, a) in enumerate(_sqrt_cf_convergents(D)):
-        if a == 2 * a0:  # not the first item, whose a is a0 >= 1
-            # an even period closes with +1: no solution
-            x, y = prev
-            return PellSolution(x, y) if x * x - D * y * y == -1 else None
+    for k, (p, q, norm) in enumerate(_sqrt_cf_convergents(D), 1):
+        if norm in (1, -1):  # the first period closes here
+            return PellSolution(p, q) if norm == -1 else None
         if max_period is not None and k >= max_period:
             raise ValueError(
                 f"the continued-fraction period of sqrt({D}) is longer than "
                 f"{max_period} terms; its negative Pell equation is not decided"
             )
-        prev = p, q
     raise AssertionError("unreachable")
 
 
@@ -142,12 +134,12 @@ def has_smaller_solution(D: int, rhs: int, y: int) -> bool:
     because x + y' sqrt(D) > 2y' (x >= y' when rhs = -1, x > y' sqrt(D)
     when rhs = 1), and gcd(x, y') = 1.  So x/y' is a continued-fraction
     convergent of sqrt(D), and only the convergents with q < y need
-    checking.
+    checking, each by the norm its walk already holds.
     """
     if rhs not in (1, -1):
         raise ValueError("rhs must be 1 or -1")
-    for p, q, _ in _sqrt_cf_convergents(D):
-        if q >= y or p * p - D * q * q == rhs:
+    for _, q, norm in _sqrt_cf_convergents(D):
+        if q >= y or norm == rhs:
             return q < y
 
 

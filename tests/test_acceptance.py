@@ -33,12 +33,13 @@ def _report(num, text):
 def test_01_chamber_scan_modes(capsys):
     t0 = time.perf_counter()
     rows = hilbcone.scan_rows(2, 200)
+    appendix = hilbcone.scan_rows(2, 200, full_congruence=False)
     elapsed = time.perf_counter() - t0
-    assert elapsed < 60.0, f"appendix scan took {elapsed:.1f}s (limit 60s)"
+    assert elapsed < 60.0, f"scans took {elapsed:.1f}s (limit 60s)"
     assert [r.n for r in rows] == list(range(2, 201))
-    assert all(r.c_appendix == 1 for r in rows)
+    assert [(r.n, r.c_n) for r in appendix] == [(n, 1) for n in range(2, 201)]
 
-    disagreements = [r for r in rows if r.disagreement]
+    disagreements = [r for r in rows if r.below_middle]
     # Record the full-congruence output; a disagreement is a finding that
     # the CLI must surface with exit code 2, not a failure of the tool.
     code = cli_main(["scan", "--min-n", "2", "--max-n", "200", "--mode", "full"])
@@ -46,7 +47,7 @@ def test_01_chamber_scan_modes(capsys):
     if disagreements:
         assert code == 2
         for r in disagreements:
-            for w in r.full_only_below:
+            for w in r.below_middle:
                 assert f"n={r.n} rho={w.rho} alpha={w.alpha} X={w.X} Y={w.Y}" in out
     else:
         assert code == 0
@@ -54,7 +55,7 @@ def test_01_chamber_scan_modes(capsys):
     with capsys.disabled():
         _report(
             1,
-            f"appendix scan 2..200 all C_n=1 in {elapsed:.2f}s; "
+            f"scans 2..200 in {elapsed:.2f}s, appendix mode all C_n=1; "
             f"full mode recorded, {len(disagreements)} disagreements",
         )
 

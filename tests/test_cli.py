@@ -79,9 +79,38 @@ def test_scan_byte_identical_across_jobs(capsys):
 
 
 def test_scan_usage_error(capsys):
-    code, _, err = run(capsys, ["scan", "--min-n", "5", "--max-n", "4"])
-    assert code == 1
-    assert "error" in err
+    argv = ["scan", "--min-n", "5", "--max-n", "4"]
+    err = "k3invol: error: need 2 <= n_min <= n_max\n"
+    for mode in ([], ["--mode", "full"], ["--mode", "appendix"]):
+        assert run(capsys, [*argv, *mode]) == (1, "", err), mode
+
+
+def test_scan_appendix_never_runs_the_kernel(capsys, monkeypatch):
+    # the appendix mode has the middle wall alone (hilbcone docstring), so
+    # its scan reads C_n = 1 for every n without the kernel
+    from k3invol import kernel
+
+    def no_kernel(n):
+        raise AssertionError("the appendix scan called the kernel")
+
+    monkeypatch.setattr(kernel, "interior_walls", no_kernel)
+    argv = ["scan", "--min-n", "2", "--max-n", "300", "--mode", "appendix"]
+    ns = range(2, 301)
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        f"n={n} C_n=1" + ("  [extension]" if n > 200 else "") for n in ns
+    ]
+    argv.append("--format")
+    code, out, err = run(capsys, [*argv, "json"])
+    assert (code, err) == (0, "")
+    obj = json.loads(out)
+    assert [(r["n"], r["C_n"]) for r in obj["rows"]] == [(n, 1) for n in ns]
+    assert obj["findings"] == []
+    code, out, err = run(capsys, [*argv, "csv"])
+    assert (code, err) == (0, "")
+    rows = list(csv.reader(out.splitlines()))[1:]
+    assert [(r[0], r[1]) for r in rows] == [(str(n), "1") for n in ns]
 
 
 def test_scan_jobs_below_one_is_an_error(capsys):
@@ -93,26 +122,13 @@ def test_scan_jobs_below_one_is_an_error(capsys):
 
 def test_scan_reports_disagreement_with_witness(capsys, monkeypatch):
     wall = hilbcone.WallRecord.build(3, -1, 1, 9, 1)
-    fake = [
-        hilbcone.ScanRow(n=3, c_full=2, c_appendix=1, full_only_below=(wall,))
-    ]
+    fake = [hilbcone.ScanRow(n=3, c_n=2, below_middle=(wall,))]
     monkeypatch.setattr(hilbcone, "scan_rows", lambda *a, **k: fake)
     code, out, _ = run(capsys, ["scan", "--min-n", "3", "--max-n", "3"])
     assert code == 2
     assert "FINDING" in out
     assert "n=3 rho=-1 alpha=1 X=9 Y=1" in out
     assert "C_n > 1" in out
-
-
-def test_scan_appendix_reports_chamber_count(capsys, monkeypatch):
-    fake = [hilbcone.ScanRow(n=3, c_full=1, c_appendix=2, full_only_below=())]
-    monkeypatch.setattr(hilbcone, "scan_rows", lambda *a, **k: fake)
-    code, out, _ = run(
-        capsys, ["scan", "--min-n", "3", "--max-n", "3", "--mode", "appendix"]
-    )
-    assert code == 2
-    assert "FINDING: C_n > 1: n=3 C_n=2" in out
-    assert "mode disagreement" not in out
 
 
 def test_walls_text_and_json(capsys):
@@ -163,6 +179,16 @@ def test_sigma_command(capsys):
 
     code, out, _ = run(capsys, ["sigma", "--n", "7", "--verify"])
     assert code == 0 and "checks passed" in out
+
+
+def test_sigma_verify_h0_check_runs_before_output(capsys, monkeypatch):
+    # dimension_report cross-checks h0(1) against the subsystem quotient
+    # dimension, so a wrong h0 stops the command before it prints
+    real = sigma.h0_sigma
+    monkeypatch.setattr(sigma, "h0_sigma", lambda n, k: real(n, k) + 1)
+    with pytest.raises(AssertionError, match="h0"):
+        main(["sigma", "--n", "7", "--verify"])
+    assert capsys.readouterr().out == ""
 
 
 def test_strata_command(capsys):

@@ -224,16 +224,21 @@ def test_wall_invariants_and_involution_stability():
 
 def test_chamber_count_examples():
     for n in (3, 47, 200):
-        (row,) = scan_rows(n, n)
-        assert row.c_full == row.c_appendix == 1
+        for full in (True, False):
+            (row,) = scan_rows(n, n, full)
+            assert row.c_n == 1, (n, full)
 
 
 def test_scan_chambers_range_and_validation():
-    assert [(r.n, r.c_appendix) for r in scan_rows(2, 3)] == [(2, 1), (3, 1)]
-    with pytest.raises(ValueError):
-        scan_rows(5, 4)
-    with pytest.raises(ValueError):
-        scan_rows(1, 4)
+    assert [(r.n, r.c_n) for r in scan_rows(2, 3, full_congruence=False)] == [
+        (2, 1),
+        (3, 1),
+    ]
+    for full in (True, False):
+        with pytest.raises(ValueError, match="need 2 <= n_min <= n_max"):
+            scan_rows(5, 4, full)
+        with pytest.raises(ValueError, match="need 2 <= n_min <= n_max"):
+            scan_rows(1, 4, full)
 
 
 def test_each_wall_built_once(monkeypatch):
@@ -245,8 +250,10 @@ def test_each_wall_built_once(monkeypatch):
         return build(cls, *args)
 
     monkeypatch.setattr(WallRecord, "build", classmethod(counting))
-    scan_rows(2, 60)
-    assert calls[0] == 59  # one wall, the middle one, per n
+    for full in (True, False):
+        calls[0] = 0
+        scan_rows(2, 60, full)
+        assert calls[0] == 59, full  # one wall, the middle one, per n
     for full in (True, False):
         for n in (2, 3, 47):
             calls[0] = 0
@@ -261,15 +268,17 @@ def test_each_wall_built_once(monkeypatch):
     monkeypatch.setattr(kernel, "interior_walls", no_kernel)
     for n in (2, 3, 47, 10**6):
         assert enumerate_walls(n, False) == [middle_wall(n)], n
+    top = 10**6
+    assert scan_rows(top - 2, top, False) == [(n, 1, ()) for n in range(top - 2, top + 1)]
 
 
 def test_scan_rows_agreement():
-    rows = scan_rows(2, 60)
-    assert [r.n for r in rows] == list(range(2, 61))
-    for r in rows:
-        assert r.c_full == r.c_appendix == 1
-        assert not r.disagreement
-        assert r.full_only_below == ()
+    for full in (True, False):
+        rows = scan_rows(2, 60, full)
+        assert [r.n for r in rows] == list(range(2, 61))
+        for r in rows:
+            assert r.c_n == 1, (r.n, full)
+            assert r.below_middle == (), (r.n, full)
 
 
 def inject_full_only_witness(monkeypatch):
@@ -289,11 +298,11 @@ def test_scan_reports_full_only_witness(monkeypatch, capsys):
     inject_full_only_witness(monkeypatch)
     rows = {r.n: r for r in scan_rows(5, 9)}
     assert sorted(rows) == [5, 6, 7, 8, 9]
-    assert (rows[7].c_full, rows[7].c_appendix) == (2, 1)
-    assert rows[7].disagreement
-    assert [(w.rho, w.alpha, w.X, w.Y) for w in rows[7].full_only_below] == [(5, 14, 26, 1)]
+    assert rows[7].c_n == 2
+    assert [(w.rho, w.alpha, w.X, w.Y) for w in rows[7].below_middle] == [(5, 14, 26, 1)]
     for n in (5, 6, 8, 9):
-        assert (rows[n].c_full, rows[n].c_appendix, rows[n].full_only_below) == (1, 1, ())
+        assert (rows[n].c_n, rows[n].below_middle) == (1, ()), n
+    assert scan_rows(5, 9, False) == [(n, 1, ()) for n in range(5, 10)]
     assert cli_main(["scan", "--min-n", "7", "--max-n", "7"]) == 2
     out = capsys.readouterr().out
     assert "FINDING: mode disagreement: n=7 rho=5 alpha=14 X=26 Y=1" in out
@@ -312,14 +321,16 @@ def test_appendix_modes_agree_on_injected_walls(monkeypatch, capsys):
     assert all(X < t * Y for _, _, X, Y in above)
 
     (row,) = scan_rows(n, n)
-    assert (row.c_full, row.c_appendix) == (1 + len(below), 1)
-    assert [(w.rho, w.alpha, w.X, w.Y) for w in row.full_only_below] == sorted(
+    (app,) = scan_rows(n, n, False)
+    assert (row.c_n, app.c_n) == (1 + len(below), 1)
+    assert [(w.rho, w.alpha, w.X, w.Y) for w in row.below_middle] == sorted(
         below, key=lambda sol: Fraction(sol[3], sol[2])
     )
+    assert app.below_middle == ()
 
     walls = ["walls", "--n", str(n), "--format", "json"]
     scan = ["scan", "--min-n", str(n), "--max-n", str(n), "--format", "json"]
-    for mode, c_n in (("appendix", row.c_appendix), ("full", row.c_full)):
+    for mode, c_n in (("appendix", app.c_n), ("full", row.c_n)):
         assert cli_main([*walls, "--mode", mode]) == 0
         assert json.loads(capsys.readouterr().out)["C_n"] == c_n, mode
         code = cli_main([*scan, "--mode", mode])

@@ -249,6 +249,19 @@ def test_negative_pell_past_the_trial_limit():
     assert negative_pell_minimal(d) is None
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 10**5).filter(lambda d: not isqrt(d)[1]))
+def test_walk_norm_is_the_square_it_replaces(d):
+    # the walk's norm is +-1 exactly where a period closes, so two periods
+    # end at its second +-1
+    closed = 0
+    for p, q, norm in pell._sqrt_cf_convergents(d):
+        assert norm == p * p - d * q * q, (d, p, q)
+        closed += norm in (1, -1)
+        if closed == 2:
+            break
+
+
 def test_has_smaller_solution_matches_brute_force():
     for d in range(2, 120):
         if isqrt(d)[1]:
