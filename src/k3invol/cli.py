@@ -174,18 +174,8 @@ def cmd_walls(args) -> int:
         _emit_csv(
             ["n", "rho", "alpha", "X", "Y", "slope", "a_r", "a_c", "a_s"],
             [
-                (
-                    w.n,
-                    w.rho,
-                    w.alpha,
-                    str(w.X),
-                    str(w.Y),
-                    f"{w.Y}/{w.X}",
-                    str(w.a_vec.r),
-                    str(w.a_vec.c),
-                    str(w.a_vec.s),
-                )
-                for w in walls
+                (args.n, o["rho"], o["alpha"], o["X"], o["Y"], o["slope"], *o["a_vec"])
+                for o in map(_wall_obj, walls)
             ],
         )
     else:

@@ -141,9 +141,12 @@ def enumerate_walls(n: int, full_congruence: bool = True) -> list[WallRecord]:
     """All distinct interior wall records of a mode, sorted by slope.
 
     In the full mode these are the kernel's wall classes over all cases
-    at once, deduplicated on the primitive (X, Y), and the middle wall,
-    which exists for every n.  The appendix mode sees no interior wall but
-    the middle one (see the module docstring), so the kernel is not called.
+    at once, deduplicated on the primitive (X, Y).  The kernel's list
+    already holds the middle wall, which exists for every n (the theorem
+    in the kernel docstring); nothing adds it here, so a kernel that lost
+    it fails ``walls --verify``.  The appendix mode sees no interior wall
+    but the middle one (see the module docstring), so the kernel is not
+    called.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
@@ -153,12 +156,9 @@ def enumerate_walls(n: int, full_congruence: bool = True) -> list[WallRecord]:
 
 
 def _distinct_walls(n: int, solutions) -> list[WallRecord]:
-    """The records of ``solutions`` and the middle wall, one per primitive
-    ray (the least (X, Y, rho, alpha)), sorted by slope.  Every solution is
-    built, and so validated, exactly once."""
-    middle = (-1, 1, 4 * n - 3, 1)
-    if middle not in solutions:
-        solutions = [middle, *solutions]
+    """The records of ``solutions``, one per primitive ray (the least
+    (X, Y, rho, alpha)), sorted by slope.  Every solution is built, and so
+    validated, exactly once."""
     by_ray: dict[tuple[int, int], WallRecord] = {}
     for rec in (WallRecord.build(n, *sol) for sol in solutions):
         key = rec.primitive_ray()

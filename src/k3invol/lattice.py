@@ -206,13 +206,10 @@ class LatticeMap:
         vanish outside the rows met by M e_i and row i of G), and against
         a moved e_j it is a dot product over the nonzeros of M e_j.
         """
-        moved, rows = self.moved, self.lattice.gram_rows
+        moved, lat = self.moved, self.lattice
         for i, col in moved.items():
-            gm_i: dict[int, int] = {}  # G M e_i, as in gram_product
-            for k, c in col.items():
-                for j, g in rows[k].items():
-                    gm_i[j] = gm_i.get(j, 0) + c * g
-            g_i = rows[i]
+            gm_i = lat.gram_product(col)  # G M e_i
+            g_i = lat.gram_rows[i]
             for j, p in gm_i.items():
                 if j not in moved and p != g_i.get(j, 0):
                     return False

@@ -101,13 +101,11 @@ def v_i(ctx: MukaiContext, i: int) -> MukaiVector:
 
 
 def r_max(ctx: MukaiContext) -> int:
-    """Largest i >= 0 with n >= (i+1)(i+2)."""
-    if ctx.n < 2:
-        raise ValueError("n must be at least 2")
-    i = 0
-    while (i + 2) * (i + 3) <= ctx.n:
-        i += 1
-    return i
+    """Largest i >= 0 with n >= (i+1)(i+2).
+
+    (i+1)(i+2) <= n is (2i+3)^2 <= 4n+1, that is 2i+3 <= isqrt(4n+1); the
+    context has n >= 2, so the answer is at least 0."""
+    return (math.isqrt(4 * ctx.n + 1) - 3) // 2
 
 
 def spherical_search(ctx: MukaiContext, i: int, bound: int) -> list[tuple[int, int]]:

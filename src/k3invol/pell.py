@@ -57,31 +57,41 @@ def _sqrt_cf_convergents(d: int):
         q_prev, q = q, a * q + q_prev
 
 
+def _close_first_period(D: int, max_period: int | None, unsolved: str):
+    """The convergent (p, q, norm) that closes the first period of sqrt(D),
+    where norm = p^2 - D*q^2 is +-1 for the first time: -1 exactly when the
+    period is odd.  Raises ValueError, ending in ``unsolved``, once the walk
+    passes ``max_period`` terms; None walks the whole period."""
+    for k, (p, q, norm) in enumerate(_sqrt_cf_convergents(D), 1):
+        if norm in (1, -1):
+            return p, q, norm
+        if max_period is not None and k >= max_period:
+            raise ValueError(
+                f"the continued-fraction period of sqrt({D}) is longer than "
+                f"{max_period} terms; {unsolved}"
+            )
+    raise AssertionError("unreachable")
+
+
 def fundamental_solution(D: int) -> PellSolution:
     """Minimal (x, y) with x, y > 0 and x^2 - D*y^2 = 1.
 
     Computed from the continued-fraction expansion of sqrt(D); the
-    fundamental solution is the first convergent satisfying the equation,
-    reached at the end of the first period (or the second when the period
-    is odd).  Raises ValueError when the period is longer than
-    MAX_PERIOD = 10^4 terms.
+    fundamental solution is the convergent closing the first period, or
+    that convergent (p, q) squared, (p^2 + D*q^2, 2pq), when the period is
+    odd and it solves x^2 - D*y^2 = -1 instead.  Raises ValueError when
+    the period is longer than MAX_PERIOD = 10^4 terms.
     """
     if D <= 0:
         raise ValueError("D must be positive")
     if isqrt(D)[1]:
         raise ValueError("D must not be a perfect square")
-    period = None
-    for k, (p, q, norm) in enumerate(_sqrt_cf_convergents(D), 1):
-        if norm == 1:
-            return PellSolution(p, q)
-        if norm == -1:  # an odd period; the second one closes with +1
-            period = k
-        elif period is None and k >= MAX_PERIOD:
-            raise ValueError(
-                f"the continued-fraction period of sqrt({D}) is longer than "
-                f"{MAX_PERIOD} terms; its fundamental solution is not computed"
-            )
-    raise AssertionError("unreachable: Pell equation always has a solution")
+    p, q, norm = _close_first_period(
+        D, MAX_PERIOD, "its fundamental solution is not computed"
+    )
+    if norm == -1:
+        return PellSolution(p * p + D * q * q, 2 * p * q)
+    return PellSolution(p, q)
 
 
 def negative_pell_minimal(
@@ -114,15 +124,10 @@ def negative_pell_minimal(
     odd = D if D % 2 else D // 2  # D % 4 != 0: at most one factor 2
     if odd % 4 == 3 or smallest_prime_factor_3_mod_4(odd, 10**4) is not None:
         return None
-    for k, (p, q, norm) in enumerate(_sqrt_cf_convergents(D), 1):
-        if norm in (1, -1):  # the first period closes here
-            return PellSolution(p, q) if norm == -1 else None
-        if max_period is not None and k >= max_period:
-            raise ValueError(
-                f"the continued-fraction period of sqrt({D}) is longer than "
-                f"{max_period} terms; its negative Pell equation is not decided"
-            )
-    raise AssertionError("unreachable")
+    p, q, norm = _close_first_period(
+        D, max_period, "its negative Pell equation is not decided"
+    )
+    return PellSolution(p, q) if norm == -1 else None
 
 
 def has_smaller_solution(D: int, rhs: int, y: int) -> bool:
@@ -176,9 +181,9 @@ def minimal_solution_mixed(
 ) -> Optional[PellSolution]:
     """Minimal (x, y) > 0 with p*x^2 - q*y^2 = -1, searching x <= x_bound.
 
-    Plain bounded brute force; this shape is only ever needed for small
-    witnesses (the wall application has (p, q) = (n-1, 4n-3) with minimal
-    solution (2, 1)).
+    Plain bounded brute force.  It serves ``pell --kind mixed`` and the
+    identity that acceptance criterion 2 checks: (p, q) = (n-1, 4n-3) has
+    the minimal solution (2, 1).  The wall enumeration does not use it.
     """
     if p <= 0 or q <= 0:
         raise ValueError("p and q must be positive")

@@ -117,37 +117,31 @@ def bir_finiteness(n: int) -> BirVerdict:
     """
     if n < 4:
         raise ValueError("requires n >= 4")
-    g, delta = _delta(n)
-    w_div = math.gcd(3, math.gcd(2 * (4 * n - 3), n))
+    _, delta = _delta(n)
+    witness = obstruction = solvable = None
     if isqrt(delta)[1]:
         # Rational rays.  16t(n-3) = (8n-15)^2 - 81, so delta = k^2 means
         # (8n-15)^2 - (4gk)^2 = 81; the factor pairs 1*81 and 9*9 give
-        # n = 7 and n = 3, and 3*27 no integer n, so this is n = 7.
-        return BirVerdict(
-            status=BirStatus.FINITE, pell_d=delta, w_divisibility=w_div
-        )
-    witness = negative_pell_minimal(delta)
-    if witness is not None:
-        return BirVerdict(
-            status=BirStatus.FINITE,
-            witness=witness,
-            pell_d=delta,
-            pell_solvable=True,
-            w_divisibility=w_div,
-        )
-    if n % 3 == 0:
-        return BirVerdict(
-            status=BirStatus.INFINITE,
-            obstruction=smallest_prime_factor_3_mod_4(delta),
-            pell_d=delta,
-            pell_solvable=False,
-            w_divisibility=w_div,
-        )
+        # n = 7 and n = 3, and 3*27 no integer n, so this is n = 7.  The
+        # Pell equation is not asked, so pell_solvable stays None.
+        status = BirStatus.FINITE
+    else:
+        witness = negative_pell_minimal(delta)
+        solvable = witness is not None
+        if solvable:
+            status = BirStatus.FINITE
+        elif n % 3 == 0:
+            status = BirStatus.INFINITE
+            obstruction = smallest_prime_factor_3_mod_4(delta)
+        else:
+            status = BirStatus.UNKNOWN
     return BirVerdict(
-        status=BirStatus.UNKNOWN,
+        status=status,
+        witness=witness,
+        obstruction=obstruction,
         pell_d=delta,
-        pell_solvable=False,
-        w_divisibility=w_div,
+        pell_solvable=solvable,
+        w_divisibility=math.gcd(3, math.gcd(2 * (4 * n - 3), n)),
     )
 
 

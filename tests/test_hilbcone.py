@@ -167,12 +167,14 @@ def test_enumerate_walls_sorted_by_fraction_slope():
 def test_many_walls_sorted_and_deduplicated_like_fraction_oracle(n, pairs):
     # real n have one wall each; inject many valid cases, on both sides of
     # the middle wall and each also doubled, so that the sort and the
-    # per-ray deduplication see many rays and repeated ones
+    # per-ray deduplication see many rays and repeated ones.  The injected
+    # list holds the middle wall, as the real kernel's does
     t = 4 * n - 3
     inside = [((2 * t - 1) * Y // 2 + q, Y) for Y, q in pairs]  # Y(2t-1) < 2X
     sols = [_case_of(n, k * X, k * Y) for k in (1, 2) for X, Y in inside]
+    sols.insert(0, (-1, 1, t, 1))
     best = {}
-    for sol in [(-1, 1, t, 1), *sols]:
+    for sol in sols:
         rho, alpha, X, Y = sol
         key = Fraction(Y, X)
         if key not in best or (X, Y, rho, alpha) < best[key][2:] + best[key][:2]:
@@ -182,6 +184,16 @@ def test_many_walls_sorted_and_deduplicated_like_fraction_oracle(n, pairs):
         mp.setattr(kernel, "interior_walls", lambda n: sols)
         walls = enumerate_walls(n)
     assert [(w.rho, w.alpha, w.X, w.Y) for w in walls] == expected
+
+
+def test_walls_verify_reports_a_kernel_without_the_middle_wall(monkeypatch, capsys):
+    # nothing outside the kernel adds the middle wall, so a kernel that
+    # lost it leaves the wall count asymmetric, and --verify says so
+    monkeypatch.setattr(kernel, "interior_walls", lambda n: [])
+    assert enumerate_walls(5) == []
+    assert cli_main(["walls", "--n", "5", "--verify"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "verify: FAIL wall count symmetry\n"
 
 
 def test_enumerate_walls_small_n():

@@ -97,6 +97,22 @@ def test_r_max():
         assert (r + 1) * (r + 2) <= n < (r + 2) * (r + 3)
 
 
+def test_r_max_matches_the_loop():
+    # the loop r_max replaced: step i while (i+2)(i+3) <= n.  Its condition
+    # only grows truer with n, so over increasing n it resumes at the last i
+    def check(ns):
+        i = 0
+        for n in ns:
+            while (i + 2) * (i + 3) <= n:
+                i += 1
+            assert r_max(MukaiContext(n)) == i, n
+
+    check(range(2, 2 * 10**5 + 1))
+    # around each threshold (i+1)(i+2) = m(m+1), where the answer steps
+    edges = (m * (m + 1) + e for m in range(1, 10**4 + 1) for e in (-1, 0, 1))
+    check(n for n in edges if n >= 2)
+
+
 @functools.cache
 def _spherical_classes(n, bound):
     """Literal double loop over the grid: every spherical s = x*v + y*a

@@ -94,6 +94,27 @@ def test_fundamental_agrees_with_brute_force():
             assert fund == brute
 
 
+def fundamental_two_periods(d):
+    """The fundamental solution by the two-period walk: the first convergent
+    whose norm is +1, one period on when the period is even and two when
+    it is odd.  Kept as the oracle of the one-period walk that squares."""
+    for p, q, norm in pell._sqrt_cf_convergents(d):
+        if norm == 1:
+            return PellSolution(p, q)
+
+
+def test_fundamental_matches_two_period_oracle():
+    # below 3*10^4 every period is far under MAX_PERIOD; odd periods are
+    # where squaring the closing convergent replaces walking a second one
+    odd = 0
+    for d in range(2, 3 * 10**4):
+        if isqrt(d)[1]:
+            continue
+        assert fundamental_solution(d) == fundamental_two_periods(d), d
+        odd += negative_pell_minimal(d) is not None
+    assert odd > 1000
+
+
 def test_fundamental_rejects_bad_input():
     with pytest.raises(ValueError):
         fundamental_solution(0)

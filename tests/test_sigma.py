@@ -4,6 +4,7 @@ from k3invol.mukai import MukaiContext, MukaiVector, mukai_pairing, standard_vec
 from k3invol.pell import MAX_PERIOD, negative_pell_minimal
 from k3invol.sigma import (
     BirStatus,
+    BirVerdict,
     bir_finiteness,
     catalan_degree,
     cover_degree_bound,
@@ -55,6 +56,31 @@ def test_bir_examples():
     assert v7.status is BirStatus.FINITE and v7.witness is None
     with pytest.raises(ValueError):
         bir_finiteness(3)
+
+
+def test_bir_verdict_pinned_per_branch():
+    # every field of one n per branch; n = 7 decides by rational rays and
+    # never asks the Pell equation, so pell_solvable is None, not False
+    assert bir_finiteness(4) == BirVerdict(
+        status=BirStatus.FINITE,
+        witness=(18, 5),
+        pell_d=13,
+        pell_solvable=True,
+        w_divisibility=1,
+    )
+    assert bir_finiteness(5) == BirVerdict(
+        status=BirStatus.UNKNOWN, pell_d=34, pell_solvable=False, w_divisibility=1
+    )
+    assert bir_finiteness(6) == BirVerdict(
+        status=BirStatus.INFINITE,
+        obstruction=7,
+        pell_d=7,
+        pell_solvable=False,
+        w_divisibility=3,
+    )
+    assert bir_finiteness(7) == BirVerdict(
+        status=BirStatus.FINITE, pell_d=100, pell_solvable=None, w_divisibility=1
+    )
 
 
 def test_bir_multiples_of_three_are_infinite():
