@@ -219,7 +219,8 @@ def cmd_sigma(args) -> int:
     n = args.n
     ns = sigma.ns_sigma(n)
     verdict = sigma.bir_finiteness(n)
-    rational = sigma.positive_cone_rational(n)
+    # rational rays are the one finite verdict without a Pell witness
+    rational = verdict.status is sigma.BirStatus.FINITE and verdict.witness is None
     report = sigma.dimension_report(n)
     obj = {
         "n": n,
@@ -411,6 +412,12 @@ def cmd_pell(args) -> int:
     if args.kind == "mixed":
         if args.p is None or args.q is None:
             print("pell --kind mixed requires --p and --q", file=sys.stderr)
+            return EXIT_ERROR
+        if args.bound < 1:
+            # below 1 no x is searched: "no solution" would be vacuous
+            print(
+                f"pell: --bound must be at least 1, got {args.bound}", file=sys.stderr
+            )
             return EXIT_ERROR
         sol = pell.minimal_solution_mixed(args.p, args.q, x_bound=args.bound)
         obj = {

@@ -1,17 +1,18 @@
-"""Movable cone of the Hilbert scheme: involution action, walls, chambers.
+"""Walls and chambers of the movable cone; its involution is kernel.mirror.
 
 NS of the Hilbert scheme of n points is Z*H_n + Z*delta with the
 Beauville-Bogomolov form diag(2t, -2(n-1)), t = 4n-3.  The unique
 birational involution acts by minus the reflection in H_n - 2delta and
 swaps the two boundary rays H_n and (2t-1)H_n - 4t*delta of the movable
-cone.  Interior walls are cut by rays X*H_n - 2tY*delta coming from
-congruence-restricted Pell solutions, one family per case (rho, alpha);
-:mod:`k3invol.kernel` finds them as the Mukai classes a = (k, -Y, s) with
-a^2 = 2 rho and |a.v| = alpha, enumerated below the middle and mirrored
-above it by the involution.  The middle wall is always (rho, alpha) =
-(-1, 1) with (X, Y) = (t, 1), of slope Y/X = 1/t.  C_n - 1 counts the
-wall rays of slope strictly below 1/t, so C_n = 1 means the nef cone
-reaches the middle.
+cone; :func:`k3invol.kernel.mirror` is that action on rays
+X*H_n - 2tY*delta, in (X, Y) coordinates.  Interior walls are cut by
+such rays coming from congruence-restricted Pell solutions, one family
+per case (rho, alpha); :mod:`k3invol.kernel` finds them as the Mukai
+classes a = (k, -Y, s) with a^2 = 2 rho and |a.v| = alpha, enumerated
+below the middle and mirrored above it by the involution.  The middle
+wall is always (rho, alpha) = (-1, 1) with (X, Y) = (t, 1), of slope
+Y/X = 1/t.  C_n - 1 counts the wall rays of slope strictly below 1/t, so
+C_n = 1 means the nef cone reaches the middle.
 
 The kernel's walls are the complete criterion, X == +-alpha (mod 2(n-1))
 in every case: the ``full`` mode.  The ``appendix`` mode is a historical
@@ -41,37 +42,6 @@ from .mukai import MukaiContext, MukaiVector, mukai_pairing
 class DivisorClass(NamedTuple):
     a: int  # coefficient of H_n
     b: int  # coefficient of delta
-
-
-def bb_form(n: int, c1: DivisorClass, c2: DivisorClass) -> int:
-    """Beauville-Bogomolov pairing, diag(2t, -2(n-1)) in the (H_n, delta) basis."""
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    t = 4 * n - 3
-    return 2 * t * c1[0] * c2[0] - 2 * (n - 1) * c1[1] * c2[1]
-
-
-def involution_action(n: int, c: DivisorClass) -> DivisorClass:
-    """Minus the reflection in H_n - 2delta (a q-isometry of order two):
-
-    a*H_n + b*delta  |->  ((2t-1)a + 4(n-1)b) H_n - (4ta + (8(n-1)+1)b) delta.
-    """
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    t = 4 * n - 3
-    a, b = c
-    return DivisorClass(
-        (2 * t - 1) * a + 4 * (n - 1) * b,
-        -4 * t * a - (8 * (n - 1) + 1) * b,
-    )
-
-
-def movable_rays(n: int) -> tuple[DivisorClass, DivisorClass]:
-    """The two boundary rays H_n and its involution image (2t-1)H_n - 4t*delta."""
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    t = 4 * n - 3
-    return DivisorClass(1, 0), DivisorClass(2 * t - 1, -4 * t)
 
 
 class WallRecord(NamedTuple):

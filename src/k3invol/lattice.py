@@ -12,8 +12,7 @@ Everything is stored by its nonzero entries: row i of a Gram matrix as
 moved columns {j: image of e_j}, kept only where the image is not e_j.
 Alpha and the transvections it is built from move at most five of the
 23 basis vectors (u, v, u1, v1, l), so composing, applying and checking
-a map costs O(moved columns x nonzeros), not O(rank^2).  The dense
-``gram`` and ``matrix`` are read-only views for test oracles.
+a map costs O(moved columns x nonzeros), not O(rank^2).
 
 The Gram rows of a U or E8(-1) block at a given offset are built once and
 shared, never mutated, by every lattice that has the block there; they do
@@ -27,9 +26,7 @@ caller that also needs Xi(n) reads it from ``alpha.lattice``.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
-from operator import add, neg, sub
 from typing import Sequence
 
 # Negated Cartan matrix of E8 (Bourbaki node ordering: chain
@@ -104,11 +101,6 @@ class IntegerLattice:
     def rank(self) -> int:
         return len(self.gram_rows)
 
-    @property
-    def gram(self) -> tuple[tuple[int, ...], ...]:
-        """The dense Gram matrix, a read-only view for test oracles."""
-        return tuple(tuple(row.get(j, 0) for j in range(self.rank)) for row in self.gram_rows)
-
     def gram_product(self, vec: dict[int, int]) -> dict[int, int]:
         """G v from {j: v_j} over the nonzero v_j, as {i: (G v)_i} over the rows
         i that meet v (some may be 0); G is symmetric, so column j is row j."""
@@ -117,14 +109,6 @@ class IntegerLattice:
             for i, g in self.gram_rows[j].items():
                 out[i] = out.get(i, 0) + c * g
         return out
-
-    def element(self, coords: Sequence[int]) -> "LatticeElement":
-        return LatticeElement(self, tuple(map(int, coords)))
-
-    def basis_element(self, j: int) -> "LatticeElement":
-        coords = [0] * self.rank
-        coords[j] = 1
-        return LatticeElement(self, tuple(coords))
 
 
 @dataclass(frozen=True)
@@ -136,27 +120,6 @@ class LatticeElement:
         if len(self.coords) != self.lattice.rank:
             raise ValueError("coordinate length does not match the rank")
 
-    def pair(self, other: "LatticeElement") -> int:
-        return _dot(_nonzero(self.coords), self.lattice.gram_product(_nonzero(other.coords)))
-
-    def square(self) -> int:
-        return self.pair(self)
-
-    def is_zero(self) -> bool:
-        return not any(self.coords)
-
-    def __add__(self, other: "LatticeElement") -> "LatticeElement":
-        return LatticeElement(self.lattice, tuple(map(add, self.coords, other.coords)))
-
-    def __sub__(self, other: "LatticeElement") -> "LatticeElement":
-        return LatticeElement(self.lattice, tuple(map(sub, self.coords, other.coords)))
-
-    def __neg__(self) -> "LatticeElement":
-        return LatticeElement(self.lattice, tuple(map(neg, self.coords)))
-
-    def __rmul__(self, k: int) -> "LatticeElement":
-        return LatticeElement(self.lattice, tuple([k * a for a in self.coords]))
-
 
 @dataclass(frozen=True)
 class LatticeMap:
@@ -165,13 +128,6 @@ class LatticeMap:
 
     lattice: IntegerLattice
     moved: dict[int, dict[int, int]]
-
-    @property
-    def matrix(self) -> tuple[tuple[int, ...], ...]:
-        """Dense view for test oracles: column j is the image of e_j."""
-        r = self.lattice.rank
-        cols = [self.moved.get(j, {j: 1}) for j in range(r)]
-        return tuple(tuple(col.get(i, 0) for col in cols) for i in range(r))
 
     def _push(self, vec: dict[int, int]) -> dict[int, int]:
         """M v by nonzero entries: v + v_j (M e_j - e_j) over moved j with v_j != 0."""
@@ -225,19 +181,12 @@ class LatticeMap:
         return True
 
 
-def transvection(x: LatticeElement, y: LatticeElement) -> LatticeMap:
-    """Eichler transvection t(x, y): z -> z - (y,z)x + (x,z)y - (y,y)/2 (x,z)x.
+def _transvection(lat: IntegerLattice, xs: dict[int, int], ys: dict[int, int]) -> LatticeMap:
+    """Eichler transvection t(x, y): z -> z - (y,z)x + (x,z)y - (y,y)/2 (x,z)x,
+    from the nonzero coordinates {i: c} of x and y.
 
     Defined for isotropic x and y orthogonal to x; under these hypotheses
     the map is always Gram-preserving (checked on construction)."""
-    lat = x.lattice
-    if lat is not y.lattice and lat != y.lattice:
-        raise ValueError("x and y must live in the same lattice")
-    return _transvection(lat, _nonzero(x.coords), _nonzero(y.coords))
-
-
-def _transvection(lat: IntegerLattice, xs: dict[int, int], ys: dict[int, int]) -> LatticeMap:
-    """t(x, y) from the nonzero coordinates {i: c} of x and y."""
     gx, gy = lat.gram_product(xs), lat.gram_product(ys)  # entry j: (x, e_j), (y, e_j)
     if _dot(xs, gx) != 0:
         raise ValueError("t(x, y) requires (x, x) = 0")
@@ -275,13 +224,6 @@ def build_xi(n: int) -> IntegerLattice:
     return IntegerLattice((U, U, U, E8_MINUS, E8_MINUS, -2 * (n - 1)))
 
 
-def xi_basis(lat: IntegerLattice) -> dict[str, LatticeElement]:
-    """Named generators of the lattice Xi(n) = build_xi(n): the three
-    hyperbolic pairs and l."""
-    names = dict(u=_IDX_U, v=_IDX_V, u1=_IDX_U1, v1=_IDX_V1, u2=4, v2=5, l=_IDX_ELL)
-    return {k: lat.basis_element(i) for k, i in names.items()}
-
-
 def build_alpha(n: int) -> tuple[LatticeMap, LatticeElement, LatticeElement]:
     """The isometry alpha of Xi(n) moving the degree-2 marked class onto
     u + v, returned as (alpha, u + v, kappa) with the two images below.
@@ -314,13 +256,6 @@ def build_alpha(n: int) -> tuple[LatticeMap, LatticeElement, LatticeElement]:
     if kappa != _element(lat, {u: m, v: -m, v1: 2 * m, ell: -1}):
         raise AssertionError("alpha does not send 2(n-1)(u+tv) - tl to kappa")
     return alpha, fixed, kappa
-
-
-def divisibility(e: LatticeElement) -> int:
-    """Positive generator of the ideal {(e, z) : z in the lattice}."""
-    if e.is_zero():
-        raise ValueError("divisibility of the zero vector is undefined")
-    return math.gcd(*e.lattice.gram_product(_nonzero(e.coords)).values())
 
 
 def acts_trivially_on_discriminant(m: LatticeMap) -> bool:

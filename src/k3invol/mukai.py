@@ -35,14 +35,8 @@ class MukaiVector(NamedTuple):
     def __sub__(self, other: "MukaiVector") -> "MukaiVector":
         return MukaiVector(self.r - other.r, self.c - other.c, self.s - other.s)
 
-    def __neg__(self) -> "MukaiVector":
-        return MukaiVector(-self.r, -self.c, -self.s)
-
     def __rmul__(self, k: int) -> "MukaiVector":
         return MukaiVector(k * self.r, k * self.c, k * self.s)
-
-    def is_zero(self) -> bool:
-        return self.r == 0 and self.c == 0 and self.s == 0
 
 
 class MukaiContext:

@@ -95,29 +95,22 @@ def ns_sigma(n: int) -> NsSigma:
     return NsSigma(n=n, g=g, L_square=2, kappa_square=kappa_sq, kappa_vec=kappa)
 
 
-def positive_cone_rational(n: int) -> bool:
-    """Whether the positive-cone boundary rays sqrt(t(n-3))/g * L +- kappa
-    are rational, i.e. t(n-3)/g^2 is a perfect square."""
-    if n < 4:
-        raise ValueError("requires n >= 4")
-    _, delta = _delta(n)
-    return isqrt(delta)[1]
-
-
 def bir_finiteness(n: int) -> BirVerdict:
     """Finiteness verdict for the birational automorphism group.
 
-    Finite when delta = t(n-3)/g^2 is a square (rational positive-cone
-    rays; among n >= 4 only n = 7).  Otherwise finite when the negative
-    Pell equation X^2 - delta Y^2 = -1 is solvable (the minimal solution
-    is the witness: X*L + Y*kappa is then a spherical class cutting a
-    wall).  For n = 3n' the equation is never solvable and the group is
-    infinite; the obstruction is the smallest prime p == 3 (mod 4)
-    dividing delta.  The remaining cases are honestly unknown.
+    Finite when delta = t(n-3)/g^2 is a square (the positive-cone
+    boundary rays sqrt(delta) * L +- kappa are rational; among n >= 4
+    only n = 7).  This is the only finite verdict without a witness, so a
+    caller reads "rays rational" from it.  Otherwise finite when the
+    negative Pell equation X^2 - delta Y^2 = -1 is solvable (the minimal
+    solution is the witness: X*L + Y*kappa is then a spherical class
+    cutting a wall).  For n = 3n' the equation is never solvable and the
+    group is infinite; the obstruction is the smallest prime p == 3
+    (mod 4) dividing delta.  The remaining cases are honestly unknown.
     """
     if n < 4:
         raise ValueError("requires n >= 4")
-    _, delta = _delta(n)
+    g, delta = _delta(n)
     witness = obstruction = solvable = None
     if isqrt(delta)[1]:
         # Rational rays.  16t(n-3) = (8n-15)^2 - 81, so delta = k^2 means
@@ -141,7 +134,7 @@ def bir_finiteness(n: int) -> BirVerdict:
         obstruction=obstruction,
         pell_d=delta,
         pell_solvable=solvable,
-        w_divisibility=math.gcd(3, math.gcd(2 * (4 * n - 3), n)),
+        w_divisibility=g,  # gcd(3, 2t, n) = gcd(3, n): 3 | n implies 3 | 2t
     )
 
 

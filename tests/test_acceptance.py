@@ -15,10 +15,11 @@ import sys
 import time
 from fractions import Fraction
 
-from k3invol import hilbcone, lattice, mukai, sigma
+from k3invol import hilbcone, kernel, lattice, mukai, sigma
 from k3invol.cli import main as cli_main
 from k3invol.mukai import MukaiContext, MukaiVector, mukai_pairing
 from k3invol.pell import fundamental_solution, isqrt, minimal_solution_mixed
+from lattice_reference import bb_form, xi_vector
 from pell_reference import (
     GeneralizedPellProblem,
     solutions_bounded,
@@ -170,20 +171,21 @@ def test_07_gram_identities(capsys):
 
 def test_08_involution_action(capsys):
     rng = random.Random(12)
+    # kernel.mirror acts on the rays X*H_n - 2tY*delta as (X, Y); the class
+    # a*H_n + b*delta is (a, -b/(2t))
     for n in range(2, 101):
         t = 4 * n - 3
-        assert hilbcone.involution_action(n, hilbcone.DivisorClass(1, 0)) == (
-            2 * t - 1,
-            -4 * t,
-        )
-        assert hilbcone.involution_action(n, hilbcone.DivisorClass(1, -2)) == (1, -2)
+        # H_n -> (2t-1)H_n - 4t*delta, and H_n - 2delta is fixed
+        assert kernel.mirror(n, 1, 0) == (2 * t - 1, 2)
+        assert kernel.mirror(n, 1, Fraction(1, t)) == (1, Fraction(1, t))
     for _ in range(500):
         n = rng.randint(2, 100)
-        c = hilbcone.DivisorClass(rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6))
-        d = hilbcone.DivisorClass(rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6))
-        fc = hilbcone.involution_action(n, c)
-        assert hilbcone.involution_action(n, fc) == c
-        assert hilbcone.bb_form(n, fc, hilbcone.involution_action(n, d)) == hilbcone.bb_form(n, c, d)
+        t = 4 * n - 3
+        c = (rng.randint(-10**6, 10**6), Fraction(-rng.randint(-10**6, 10**6), 2 * t))
+        d = (rng.randint(-10**6, 10**6), Fraction(-rng.randint(-10**6, 10**6), 2 * t))
+        fc = kernel.mirror(n, *c)
+        assert kernel.mirror(n, *fc) == c
+        assert bb_form(n, fc, kernel.mirror(n, *d)) == bb_form(n, c, d)
     with capsys.disabled():
         _report(8, "involution: correct boundary image, fixes H_n-2delta, order two, q-isometry")
 
@@ -191,13 +193,14 @@ def test_08_involution_action(capsys):
 def test_09_eichler_verification(capsys):
     t0 = time.perf_counter()
     for n in range(2, 101):
-        t = 4 * n - 3
+        t, m = 4 * n - 3, 2 * (n - 1)
         alpha, fixed, kappa = lattice.build_alpha(n)  # image identities verified inside
-        b = lattice.xi_basis(alpha.lattice)
-        u, v, v1, ell = b["u"], b["v"], b["v1"], b["l"]
-        assert alpha.apply(u + t * v - 2 * ell) == fixed == u + v
-        expect = 2 * (n - 1) * (u - v) + 4 * (n - 1) * v1 - ell
-        assert alpha.apply(2 * (n - 1) * (u + t * v) - t * ell) == kappa == expect
+        lat = alpha.lattice
+        # alpha(u + tv - 2l) = u + v
+        assert alpha.apply(xi_vector(lat, u=1, v=t, l=-2)) == fixed == xi_vector(lat, u=1, v=1)
+        # alpha(2(n-1)(u + tv) - tl) = 2(n-1)(u - v) + 4(n-1)v1 - l
+        expect = xi_vector(lat, u=m, v=-m, v1=2 * m, l=-1)
+        assert alpha.apply(xi_vector(lat, u=m, v=m * t, l=-t)) == kappa == expect
         assert alpha.is_isometry()
         assert lattice.acts_trivially_on_discriminant(alpha)
     elapsed = time.perf_counter() - t0
@@ -214,7 +217,8 @@ def test_10_sigma_invariants(capsys):
         _, _, w, u = mukai.standard_vectors(ctx)
         assert mukai_pairing(ctx, ns.kappa_vec, u) == 0
         assert mukai_pairing(ctx, ns.kappa_vec, w) == 0
-        if sigma.positive_cone_rational(n):
+        assert cli_main(["sigma", "--n", str(n), "--format", "json"]) == 0
+        if json.loads(capsys.readouterr().out)["positive_cone_rational"]:
             rational.append(n)
     assert rational == [7]
     v4 = sigma.bir_finiteness(4)

@@ -16,6 +16,7 @@ import k3invol
 from k3invol import cli, hilbcone, lattice, pell, sigma
 from k3invol.pell import PellSolution, fundamental_solution, negative_pell_minimal
 from k3invol.cli import main
+from lattice_reference import xi_vector
 
 
 def run(capsys, argv):
@@ -326,6 +327,21 @@ def test_pell_command(capsys):
     assert code == 1
 
 
+def test_pell_mixed_rejects_a_bound_below_one(capsys):
+    # a bound below 1 searches no x: "no solution below bound" would be vacuous
+    for bound in ("-1", "0"):
+        for fmt in ("text", "json", "csv"):
+            argv = ["pell", "--kind", "mixed", "--p", "2", "--q", "3", "--bound", bound]
+            assert run(capsys, [*argv, "--format", fmt]) == (
+                1,
+                "",
+                f"pell: --bound must be at least 1, got {bound}\n",
+            )
+    # x = 1 is the first x searched: the smallest bound that finds (1, 1)
+    code, out, _ = run(capsys, ["pell", "--kind", "mixed", "--p", "2", "--q", "3", "--bound", "1"])
+    assert (code, out) == (0, "2*x^2 - 3*y^2 = -1: minimal (x,y)=(1,1)\n")
+
+
 def test_pell_verify_is_fast_for_long_periods(capsys):
     # the fundamental solution of D = 61 has y = 226153980; checking every
     # smaller y would take minutes
@@ -458,8 +474,8 @@ def test_eichler_verify_fails_on_discriminant(capsys, monkeypatch):
     # -id is an isometry, but acts as -1 on the discriminant group Z/8 of Xi(5)
     xi = lattice.build_xi(5)
     minus_id = lattice.LatticeMap(xi, {j: {j: -1} for j in range(23)})
-    u, v, ell = (lattice.xi_basis(xi)[k] for k in ("u", "v", "l"))
-    images = (-(u + 17 * v - 2 * ell), -(8 * (u + 17 * v) - 17 * ell))
+    # -(u + 17v - 2l) and -(8(u + 17v) - 17l)
+    images = (xi_vector(xi, u=-1, v=-17, l=2), xi_vector(xi, u=-8, v=-136, l=17))
     monkeypatch.setattr(lattice, "build_alpha", lambda n: (minus_id, *images))
     code, out, err = run(capsys, ["eichler", "--n", "5", "--verify"])
     assert code == 1

@@ -8,61 +8,59 @@ from hypothesis import strategies as st
 
 from k3invol import kernel
 from k3invol.cli import main as cli_main
-from k3invol.hilbcone import (
-    DivisorClass,
-    WallRecord,
-    bb_form,
-    enumerate_walls,
-    involution_action,
-    middle_wall,
-    movable_rays,
-    scan_rows,
-)
+from k3invol.hilbcone import WallRecord, enumerate_walls, middle_wall, scan_rows
 from k3invol.mukai import MukaiVector
+from lattice_reference import bb_form
 from pell_reference import GeneralizedPellProblem, case_pairs, solutions_bounded
 
 
 def test_bb_form_examples():
+    # the oracle in ray coordinates (X, Y) of X*H_n - 2tY*delta: H_n is
+    # (1, 0), delta is (0, -1/(2t)) and the fixed class H_n - 2delta is (1, 1/t)
     for n in (2, 3, 10, 47):
         t = 4 * n - 3
-        fixed = DivisorClass(1, -2)
+        h, delta, fixed = (1, 0), (0, Fraction(-1, 2 * t)), (1, Fraction(1, t))
         assert bb_form(n, fixed, fixed) == 2
-        assert bb_form(n, DivisorClass(1, 0), DivisorClass(1, 0)) == 2 * t
-        assert bb_form(n, DivisorClass(0, 1), DivisorClass(0, 1)) == -2 * (n - 1)
+        assert bb_form(n, h, h) == 2 * t
+        assert bb_form(n, delta, delta) == -2 * (n - 1)
+        assert bb_form(n, h, delta) == 0
 
 
 def test_involution_examples():
     for n in (2, 3, 4, 17):
         t = 4 * n - 3
-        assert involution_action(n, DivisorClass(1, 0)) == (2 * t - 1, -4 * t)
-        assert involution_action(n, DivisorClass(1, -2)) == (1, -2)
-        delta_img = involution_action(n, DivisorClass(0, 1))
-        assert delta_img == (4 * (n - 1), -(8 * n - 7))
+        assert kernel.mirror(n, 1, 0) == (2 * t - 1, 2)  # H_n
+        assert kernel.mirror(n, 1, Fraction(1, t)) == (1, Fraction(1, t))  # H_n - 2delta
+        delta = (0, Fraction(-1, 2 * t))
+        delta_img = kernel.mirror(n, *delta)
+        # 4(n-1)H_n - (8n-7)delta
+        assert delta_img == (4 * (n - 1), Fraction(8 * n - 7, 2 * t))
         # applying twice must give back delta
-        assert involution_action(n, delta_img) == (0, 1)
+        assert kernel.mirror(n, *delta_img) == delta
 
 
 _coefficients = st.integers(-(10**12), 10**12)
 
 
 @settings(max_examples=300, deadline=None)
-@given(
-    st.integers(2, 10**9),
-    st.builds(DivisorClass, _coefficients, _coefficients),
-    st.builds(DivisorClass, _coefficients, _coefficients),
-)
-def test_involution_is_q_isometry_and_involution(n, c, d):
-    fc, fd = involution_action(n, c), involution_action(n, d)
+@given(st.integers(2, 10**9), _coefficients, _coefficients, _coefficients, _coefficients)
+def test_involution_is_q_isometry_and_involution(n, a, b, a2, b2):
+    # a*H_n + b*delta is the ray (X, Y) = (a, -b/(2t))
+    t = 4 * n - 3
+    c, d = (a, Fraction(-b, 2 * t)), (a2, Fraction(-b2, 2 * t))
+    fc, fd = kernel.mirror(n, *c), kernel.mirror(n, *d)
     assert bb_form(n, fc, fd) == bb_form(n, c, d)
-    assert involution_action(n, fc) == c
+    assert kernel.mirror(n, *fc) == c
 
 
 def test_movable_rays():
-    assert movable_rays(3) == ((1, 0), (17, -36))
-    assert movable_rays(4) == ((1, 0), (25, -52))
+    # the boundary rays H_n and (2t-1)H_n - 4t*delta are (1, 0) and (2t-1, 2)
+    assert kernel.mirror(3, 1, 0) == (17, 2)
+    assert kernel.mirror(4, 1, 0) == (25, 2)
     for n in (2, 5, 30):
-        first, second = movable_rays(n)
-        assert involution_action(n, first) == second
+        t = 4 * n - 3
+        assert kernel.mirror(n, 1, 0) == (2 * t - 1, 2)
+        assert kernel.mirror(n, 2 * t - 1, 2) == (1, 0)
 
 
 def test_cattaneo_cases_examples():

@@ -1,11 +1,12 @@
 import math
 import random
+from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from k3invol import kernel
-from k3invol.hilbcone import DivisorClass, involution_action
+from lattice_reference import bb_form
 from pell_reference import case_pairs
 
 
@@ -94,10 +95,12 @@ def test_only_the_middle_wall(n):
 
 
 def test_mirror_is_the_involution():
+    # the involution is minus the reflection in h = H_n - 2delta, of square
+    # 2: x -> (x, h) h - x, where h is the ray (X, Y) = (1, 1/t)
     rng = random.Random(3)
     for _ in range(500):
         n = rng.randint(2, 300)
-        t = 4 * n - 3
-        x, y = rng.randint(1, 10**6), rng.randint(1, 10**4)
-        mx, my = kernel.mirror(n, x, y)
-        assert involution_action(n, DivisorClass(x, -2 * t * y)) == (mx, -2 * t * my)
+        h = (1, Fraction(1, 4 * n - 3))
+        x, y = rng.randint(-(10**6), 10**6), rng.randint(-(10**4), 10**4)
+        q = bb_form(n, (x, y), h)
+        assert kernel.mirror(n, x, y) == (q * h[0] - x, q * h[1] - y)

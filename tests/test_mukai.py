@@ -209,7 +209,7 @@ def _positive_oracle(n, target, bound):
         for y in range(-bound, bound + 1):
             w1 = x * v + y * a
             w2 = big_t - w1
-            if w1.is_zero() or w2.is_zero():
+            if not any(w1) or not any(w2):
                 continue
             if (
                 mukai_pairing(ctx, w1, w1) >= 0

@@ -1,7 +1,9 @@
+import math
+
 import pytest
 
 from k3invol.mukai import MukaiContext, MukaiVector, mukai_pairing, standard_vectors
-from k3invol.pell import MAX_PERIOD, negative_pell_minimal
+from k3invol.pell import MAX_PERIOD, isqrt, negative_pell_minimal
 from k3invol.sigma import (
     BirStatus,
     BirVerdict,
@@ -11,7 +13,6 @@ from k3invol.sigma import (
     dimension_report,
     h0_sigma,
     ns_sigma,
-    positive_cone_rational,
     zero_locus_length,
 )
 
@@ -39,10 +40,16 @@ def test_ns_sigma_invariants_sample():
 
 
 def test_positive_cone_rational():
-    assert positive_cone_rational(7) is True
-    assert positive_cone_rational(4) is False
-    assert positive_cone_rational(100) is False  # 397 * 97 is not a square
-    hits = [n for n in range(4, 301) if positive_cone_rational(n)]
+    # the rays sqrt(delta) * L +- kappa are rational exactly when delta is a
+    # square, and that is exactly the finite verdict without a witness,
+    # from which cmd_sigma reads them
+    hits = []
+    for n in range(4, 1501):
+        verdict = bir_finiteness(n)
+        rational = verdict.status is BirStatus.FINITE and verdict.witness is None
+        assert rational == isqrt(verdict.pell_d)[1], n
+        if rational:
+            hits.append(n)
     assert hits == [7]
 
 
@@ -103,6 +110,7 @@ def test_bir_never_finite_without_witness_or_seven():
             assert verdict.pell_solvable is False
             assert verdict.w_divisibility in (1, 3)
             assert n % 3 != 0 and n != 7
+        assert verdict.w_divisibility == math.gcd(3, n)
 
 
 def test_h0_examples():
