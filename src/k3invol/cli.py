@@ -107,9 +107,10 @@ def _wall_line(rec) -> str:
         tag = "  [middle]"
     elif rec.below_middle:
         tag = "  [below middle]"
+    h_coeff, delta_coeff = rec.ray
     return (
         f"rho={rec.rho} alpha={rec.alpha}  X={rec.X} Y={rec.Y}"
-        f"  slope={rec.Y}/{rec.X}  ray=({rec.ray.a},{rec.ray.b})"
+        f"  slope={rec.Y}/{rec.X}  ray=({h_coeff},{delta_coeff})"
         f"  a=({rec.a_vec.r},{rec.a_vec.c},{rec.a_vec.s}){tag}"
     )
 
@@ -413,13 +414,13 @@ def cmd_pell(args) -> int:
         if args.p is None or args.q is None:
             print("pell --kind mixed requires --p and --q", file=sys.stderr)
             return EXIT_ERROR
-        if args.bound < 1:
+        bound = 10**5 if args.bound is None else args.bound
+        if bound < 1:
             # below 1 no x is searched: "no solution" would be vacuous
-            print(
-                f"pell: --bound must be at least 1, got {args.bound}", file=sys.stderr
-            )
+            print(f"pell: --bound must be at least 1, got {bound}", file=sys.stderr)
             return EXIT_ERROR
-        sol = pell.minimal_solution_mixed(args.p, args.q, x_bound=args.bound)
+        sol = pell.minimal_solution_mixed(args.p, args.q, x_bound=bound)
+        misplaced = "--d does not apply to --kind mixed" if args.d is not None else ""
         obj = {
             "kind": "mixed",
             "p": args.p,
@@ -438,6 +439,8 @@ def cmd_pell(args) -> int:
             sol = pell.fundamental_solution(args.d)
         else:
             sol = pell.negative_pell_minimal(args.d, max_period=pell.MAX_PERIOD)
+        given = (args.p, args.q, args.bound) != (None, None, None)
+        misplaced = "--p, --q and --bound apply only to --kind mixed" if given else ""
         obj = {
             "kind": args.kind,
             "D": args.d,
@@ -447,6 +450,10 @@ def cmd_pell(args) -> int:
         ok_line = f"x^2 - {args.d}*y^2 = {rhs}: " + (
             f"minimal (x,y)=({sol.x},{sol.y})" if sol else "unsolvable"
         )
+    # checked after the solver, so that an input it rejects keeps its error
+    if misplaced:
+        print(f"pell: {misplaced}", file=sys.stderr)
+        return EXIT_ERROR
     if args.format == "json":
         _emit_json(obj)
     elif args.format == "csv":
@@ -613,7 +620,7 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--d", type=int, default=None)
     p.add_argument("--p", type=int, default=None)
     p.add_argument("--q", type=int, default=None)
-    p.add_argument("--bound", type=int, default=10**5)
+    p.add_argument("--bound", type=int, default=None)  # 10**5 for --kind mixed
     _add_common(p, with_verify=True)
 
     p = add("eichler", "period-lattice isometry verification", cmd_eichler)

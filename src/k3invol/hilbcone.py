@@ -39,20 +39,14 @@ from . import kernel
 from .mukai import MukaiContext, MukaiVector, mukai_pairing
 
 
-class DivisorClass(NamedTuple):
-    a: int  # coefficient of H_n
-    b: int  # coefficient of delta
-
-
 class WallRecord(NamedTuple):
-    """One interior wall: its case, Pell solution, ray and derived vector."""
+    """One interior wall: its case, Pell solution and derived vector."""
 
     n: int
     rho: int
     alpha: int
     X: int
     Y: int
-    ray: DivisorClass
     a_vec: MukaiVector
 
     @classmethod
@@ -85,9 +79,13 @@ class WallRecord(NamedTuple):
             alpha=alpha,
             X=X,
             Y=Y,
-            ray=DivisorClass(X, -2 * t * Y),
             a_vec=a_vec,
         )
+
+    @property
+    def ray(self) -> tuple[int, int]:
+        """The wall's ray X*H_n - 2tY*delta as (coefficient of H_n, of delta)."""
+        return self.X, -2 * (4 * self.n - 3) * self.Y
 
     @property
     def is_middle(self) -> bool:  # Y/X == 1/t

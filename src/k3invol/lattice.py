@@ -1,4 +1,4 @@
-"""Even integer lattices, Eichler transvections, and the period-lattice check.
+"""Even integer lattices, the isometry alpha, and the period-lattice check.
 
 A lattice is an orthogonal sum of summands U, E8(-1) and rank-one <d>, and
 is built only from that list; its Gram matrix is block diagonal.  U and
@@ -10,24 +10,37 @@ all arithmetic is exact (the largest lattice used has rank 23).
 Everything is stored by its nonzero entries: row i of a Gram matrix as
 {j: G_ij}, taken from the blocks, and a map as the identity plus its
 moved columns {j: image of e_j}, kept only where the image is not e_j.
-Alpha and the transvections it is built from move at most five of the
-23 basis vectors (u, v, u1, v1, l), so composing, applying and checking
-a map costs O(moved columns x nonzeros), not O(rank^2).
+Alpha moves three of the 23 basis vectors, u, u1 and l; with
+M = 4(n-1) it is, in closed form,
+
+    alpha(u)  = u + M v - 2M v1 + 2l
+    alpha(u1) = u1 + M v1 - 2l
+    alpha(l)  = l + M v - M v1,
+
+fixing every other basis vector, so applying and checking it costs
+O(moved columns x nonzeros), not O(rank^2).  As t - M = 1 and
+m(2m - t) = -m for m = 2(n-1), the two images ``build_alpha`` checks
+come out by expanding along these columns:
+
+    alpha(u + tv - 2l)    = u + (t - M) v = u + v
+    alpha(m(u + tv) - tl) = m(u - v) + 2m v1 - l
+
+Alpha is the product t(u1, -v) t(v1, (t-1)v - 2l) t(u1, v) of three
+Eichler transvections t(x, y): z -> z - (y,z)x + (x,z)y - (y,y)/2 (x,z)x;
+that dense product, in the tests, is its oracle.
 
 The Gram rows of a U or E8(-1) block at a given offset are built once and
 shared, never mutated, by every lattice that has the block there; they do
 not depend on n, so the table stays small.  No lattice, map or result is
-cached: ``build_alpha(n)`` works on the nonzero coordinates of its
-transvection arguments and test vectors, and returns alpha together with
-the images of its two defining inputs, which it has just checked; a
-caller that also needs Xi(n) reads it from ``alpha.lattice``.
+cached: ``build_alpha(n)`` returns alpha together with the images of its
+two defining inputs, which it has just checked; a caller that also needs
+Xi(n) reads it from ``alpha.lattice``.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Sequence
 
 # Negated Cartan matrix of E8 (Bourbaki node ordering: chain
 # 1-3-4-5-6-7-8 with node 2 attached to node 4); unimodular, even,
@@ -129,8 +142,9 @@ class LatticeMap:
     lattice: IntegerLattice
     moved: dict[int, dict[int, int]]
 
-    def _push(self, vec: dict[int, int]) -> dict[int, int]:
-        """M v by nonzero entries: v + v_j (M e_j - e_j) over moved j with v_j != 0."""
+    def apply(self, e: LatticeElement) -> LatticeElement:
+        """M e by nonzero entries: e + e_j (M e_j - e_j) over moved j with e_j != 0."""
+        vec = {j: c for j, c in enumerate(e.coords) if c}
         out = dict(vec)
         for j, c in vec.items():
             col = self.moved.get(j)
@@ -138,20 +152,7 @@ class LatticeMap:
                 out[j] -= c
                 for i, x in col.items():
                     out[i] = out.get(i, 0) + c * x
-        return {i: x for i, x in out.items() if x}
-
-    def apply(self, e: LatticeElement) -> LatticeElement:
-        return _element(self.lattice, self._push(_nonzero(e.coords)))
-
-    def compose(self, other: "LatticeMap") -> "LatticeMap":
-        """self after other: the moved columns of other pushed through self, those of
-        self where other fixes e_j, and none that comes back to e_j."""
-        moved = {j: col for j, col in self.moved.items() if j not in other.moved}
-        for j, col in other.moved.items():
-            image = self._push(col)
-            if image != {j: 1}:
-                moved[j] = image
-        return LatticeMap(self.lattice, moved)
+        return _element(self.lattice, out)
 
     def is_isometry(self) -> bool:
         """Whether (M e_i, M e_j) = G_ij for all i, j.
@@ -181,36 +182,6 @@ class LatticeMap:
         return True
 
 
-def _transvection(lat: IntegerLattice, xs: dict[int, int], ys: dict[int, int]) -> LatticeMap:
-    """Eichler transvection t(x, y): z -> z - (y,z)x + (x,z)y - (y,y)/2 (x,z)x,
-    from the nonzero coordinates {i: c} of x and y.
-
-    Defined for isotropic x and y orthogonal to x; under these hypotheses
-    the map is always Gram-preserving (checked on construction)."""
-    gx, gy = lat.gram_product(xs), lat.gram_product(ys)  # entry j: (x, e_j), (y, e_j)
-    if _dot(xs, gx) != 0:
-        raise ValueError("t(x, y) requires (x, x) = 0")
-    if _dot(ys, gx) != 0:
-        raise ValueError("t(x, y) requires (x, y) = 0")
-    h = _dot(ys, gy) // 2  # integral: the lattice is even
-    # t(e_j) = e_j + (x, e_j) y - ((y, e_j) + h (x, e_j)) x, so e_j is
-    # fixed unless (x, e_j) or (y, e_j) is nonzero
-    moved = {}
-    for j in gx.keys() | gy.keys():
-        a, b = gx.get(j, 0), gy.get(j, 0)
-        col = {j: 1}
-        for vec, k in ((ys, a), (xs, -b - h * a)):
-            for i, c in vec.items():
-                col[i] = col.get(i, 0) + k * c
-        col = {i: c for i, c in col.items() if c}
-        if col != {j: 1}:
-            moved[j] = col
-    out = LatticeMap(lat, moved)
-    if not out.is_isometry():
-        raise AssertionError("transvection failed the Gram check")
-    return out
-
-
 # ---------------------------------------------------------------------------
 # The period lattice Xi(n) = U^3 + E8(-1)^2 + <-2(n-1)> and its basis
 # (u, v, u1, v1, u2, v2, e8 block, e8 block, l).
@@ -228,26 +199,37 @@ def build_alpha(n: int) -> tuple[LatticeMap, LatticeElement, LatticeElement]:
     """The isometry alpha of Xi(n) moving the degree-2 marked class onto
     u + v, returned as (alpha, u + v, kappa) with the two images below.
 
-    With w' = (u + tv - 2l) - (u + v) = (t-1)v - 2l, the map is the
-    composition t(u1, -v) o t(v1, w') o t(u1, v) (rightmost first).  Its
-    two defining images are verified on construction:
+    With M = 4(n-1), alpha is built from its three moved columns
 
-        alpha(u + t*v - 2*l)           = u + v
-        alpha(2(n-1)(u + t*v) - t*l)   = 2(n-1)(u - v) + 4(n-1)*v1 - l = kappa
+        alpha(u)  = u + M v - 2M v1 + 2l
+        alpha(u1) = u1 + M v1 - 2l
+        alpha(l)  = l + M v - M v1,
+
+    and its two defining images are verified on construction.  With
+    m = 2(n-1) = M/2, so that t - M = 1 and m(2m - t) = -m, expanding
+    along the columns gives
+
+        alpha(u + tv - 2l)    = u + (t - M) v = u + v
+        alpha(m(u + tv) - tl) = m(u - v) + 2m v1 - l = kappa.
 
     The second input is the integral generator of the orthogonal
     complement of the marked class inside the rank-two algebraic part,
     transported through the same marking (H_n -> u + tv, delta -> l).
-    Every vector here is given by its nonzero coordinates over the named
-    indices of u, v, u1, v1 and l, which are all nonzero for n >= 2.
+    ``acts_trivially_on_discriminant(alpha)`` checks that alpha is an
+    isometry and fixes the discriminant group.  Alpha is the product
+    t(u1, -v) t(v1, (t-1)v - 2l) t(u1, v) of Eichler transvections
+    (rightmost first); that dense product, in the tests, is its oracle.
     """
     lat = build_xi(n)
-    t, m = 4 * n - 3, 2 * (n - 1)
+    t, m, M = 4 * n - 3, 2 * (n - 1), 4 * (n - 1)
     u, v, u1, v1, ell = _IDX_U, _IDX_V, _IDX_U1, _IDX_V1, _IDX_ELL
-    alpha = (
-        _transvection(lat, {u1: 1}, {v: -1})
-        .compose(_transvection(lat, {v1: 1}, {v: t - 1, ell: -2}))
-        .compose(_transvection(lat, {u1: 1}, {v: 1}))
+    alpha = LatticeMap(
+        lat,
+        {
+            u: {u: 1, v: M, v1: -2 * M, ell: 2},
+            u1: {u1: 1, v1: M, ell: -2},
+            ell: {v: M, v1: -M, ell: 1},
+        },
     )
     fixed = alpha.apply(_element(lat, {u: 1, v: t, ell: -2}))
     if fixed != _element(lat, {u: 1, v: 1}):
@@ -287,13 +269,3 @@ def _element(lat: IntegerLattice, vec: dict[int, int]) -> LatticeElement:
     for i, c in vec.items():
         coords[i] = c
     return LatticeElement(lat, tuple(coords))
-
-
-def _nonzero(coords: Sequence[int]) -> dict[int, int]:
-    """{i: c} over the nonzero coordinates c."""
-    return {i: c for i, c in enumerate(coords) if c}
-
-
-def _dot(a: dict[int, int], b: dict[int, int]) -> int:
-    """Sum of a_i b_i, with a and b given by their nonzero entries."""
-    return sum(c * b.get(i, 0) for i, c in a.items())

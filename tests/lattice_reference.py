@@ -1,13 +1,14 @@
 """Vectors, pairings and dense views of :mod:`k3invol.lattice` objects,
-kept for the tests, and the Beauville-Bogomolov form of the Hilbert scheme.
+the Eichler transvections alpha is checked against, and the
+Beauville-Bogomolov form of the Hilbert scheme, kept for the tests.
 
 The package builds vectors only from {index: coordinate} dictionaries and
 stores Gram matrices and maps by their nonzero entries.  The tests also
 need vectors from coordinate lists or from the names of the Xi(n) basis
-vectors, the pairing, the transvection t(x, y) of two vectors, and the
-dense Gram matrix and map matrix their slow oracles multiply.  Each is a
-thin layer on ``lattice._element``, ``lattice._transvection`` and the
-nonzeros the package stores.
+vectors, and the dense Gram matrix and map matrix their slow oracles
+multiply.  The pairing and the transvection t(x, y) are written here from
+their textbook formulas over the dense Gram matrix assembled from the
+summands, independent of the sparse rows the package stores.
 """
 
 from __future__ import annotations
@@ -42,16 +43,44 @@ def xi_vector(lat, **named):
     return lattice._element(lat, {XI_INDEX[k]: c for k, c in named.items()})
 
 
+def dense_gram(lat):
+    """Slow oracle: the block-diagonal Gram matrix assembled from the summands."""
+    blocks = {lattice.U: ((0, 1), (1, 0)), lattice.E8_MINUS: lattice._e8_minus_gram()}
+    g, off = [[0] * lat.rank for _ in range(lat.rank)], 0
+    for s in lat.summands:
+        block = blocks.get(s, ((s,),))
+        for i, row in enumerate(block):
+            g[off + i][off : off + len(row)] = row
+        off += len(block)
+    return tuple(tuple(row) for row in g)
+
+
 def pair(x, y):
-    """The pairing (x, y) of two elements of one lattice."""
-    nonzero = lattice._nonzero
-    return lattice._dot(nonzero(x.coords), x.lattice.gram_product(nonzero(y.coords)))
+    """The pairing x^T G y of two elements of one lattice, G dense."""
+    g = dense_gram(x.lattice)
+    return sum(a * g[i][j] * b for i, a in enumerate(x.coords) for j, b in enumerate(y.coords))
 
 
 def transvection(x, y):
-    """The Eichler transvection t(x, y) of two elements of one lattice."""
-    nonzero = lattice._nonzero
-    return lattice._transvection(x.lattice, nonzero(x.coords), nonzero(y.coords))
+    """The dense matrix, column j the image of e_j, of the Eichler transvection
+
+        t(x, y): z -> z - (y, z) x + (x, z) y - (y, y)/2 (x, z) x
+
+    for isotropic x and y orthogonal to x, which make it an isometry."""
+    if pair(x, x) != 0:
+        raise ValueError("t(x, y) requires (x, x) = 0")
+    if pair(x, y) != 0:
+        raise ValueError("t(x, y) requires (x, y) = 0")
+    h = pair(y, y) // 2  # integral: the lattice is even
+    g, xs, ys = dense_gram(x.lattice), x.coords, y.coords
+    cols = []
+    for row in g:  # G is symmetric: row j gives (x, e_j) and (y, e_j)
+        xz = sum(a * b for a, b in zip(row, xs))
+        yz = sum(a * b for a, b in zip(row, ys))
+        cols.append([-yz * a + xz * b - h * xz * a for a, b in zip(xs, ys)])
+    for j, col in enumerate(cols):
+        col[j] += 1
+    return tuple(zip(*cols))
 
 
 def gram(lat):

@@ -342,6 +342,48 @@ def test_pell_mixed_rejects_a_bound_below_one(capsys):
     assert (code, out) == (0, "2*x^2 - 3*y^2 = -1: minimal (x,y)=(1,1)\n")
 
 
+_ONLY_MIXED = "pell: --p, --q and --bound apply only to --kind mixed\n"
+_NOT_MIXED = "pell: --d does not apply to --kind mixed\n"
+MISPLACED_PELL_OPTIONS = [
+    (["--kind", "negative", "--d", "13", "--bound", "-5", "--p", "3"], _ONLY_MIXED),
+    (["--kind", "negative", "--d", "13", "--p", "3"], _ONLY_MIXED),
+    (["--kind", "fundamental", "--d", "61", "--q", "3", "--verify"], _ONLY_MIXED),
+    # the default bound, given explicitly, is still an option of mixed alone
+    (["--kind", "fundamental", "--d", "2", "--bound", "100000"], _ONLY_MIXED),
+    (["--kind", "mixed", "--p", "2", "--q", "3", "--d", "5"], _NOT_MIXED),
+    (["--kind", "mixed", "--p", "2", "--q", "9", "--d", "5", "--verify"], _NOT_MIXED),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    MISPLACED_PELL_OPTIONS,
+    ids=["_".join(w.removeprefix("--") for w in a) for a, _ in MISPLACED_PELL_OPTIONS],
+)
+def test_pell_rejects_an_option_of_another_kind(capsys, argv, err):
+    for fmt in ("text", "json", "csv"):
+        assert run(capsys, ["pell", *argv, "--format", fmt]) == (1, "", err)
+
+
+def test_pell_misplaced_option_keeps_the_older_errors_first(capsys):
+    # a missing --d, --p or --q, a bound below 1 and an input the solver
+    # rejects print the error they print without the misplaced option
+    cases = [
+        (["--kind", "negative", "--p", "3"], "pell requires --d for this kind\n"),
+        (["--kind", "mixed", "--p", "2", "--d", "5"], "pell --kind mixed requires --p and --q\n"),
+        (
+            ["--kind", "mixed", "--p", "2", "--q", "3", "--bound", "0", "--d", "5"],
+            "pell: --bound must be at least 1, got 0\n",
+        ),
+        (
+            ["--kind", "fundamental", "--d", "4", "--p", "3"],
+            "k3invol: error: D must not be a perfect square\n",
+        ),
+    ]
+    for argv, err in cases:
+        assert run(capsys, ["pell", *argv]) == (1, "", err)
+
+
 def test_pell_verify_is_fast_for_long_periods(capsys):
     # the fundamental solution of D = 61 has y = 226153980; checking every
     # smaller y would take minutes
@@ -451,8 +493,9 @@ def test_eichler_command(capsys):
 
 
 def test_eichler_runs_each_check_once(capsys, monkeypatch):
-    # build_alpha checks the three transvections and applies alpha to its
-    # two defining inputs; the discriminant check is alpha's one isometry check
+    # build_alpha writes alpha's columns in closed form, checks no
+    # transvection, and applies alpha to its two defining inputs; the
+    # discriminant check is alpha's one isometry check
     calls = {}
 
     def count(owner, name):
@@ -467,7 +510,7 @@ def test_eichler_runs_each_check_once(capsys, monkeypatch):
     count(lattice.LatticeMap, "is_isometry")
     count(lattice.LatticeMap, "apply")
     assert run(capsys, ["eichler", "--n", "5", "--verify"]) == (0, EICHLER_5_VERIFY, "")
-    assert calls == {"is_isometry": 4, "apply": 2}
+    assert calls == {"is_isometry": 1, "apply": 2}
 
 
 def test_eichler_verify_fails_on_discriminant(capsys, monkeypatch):

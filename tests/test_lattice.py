@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from k3invol import lattice
 from k3invol.lattice import (
     E8_MINUS,
     U,
@@ -16,7 +15,16 @@ from k3invol.lattice import (
     build_alpha,
     build_xi,
 )
-from lattice_reference import basis, element, gram, matrix, pair, transvection, xi_vector
+from lattice_reference import (
+    basis,
+    dense_gram,
+    element,
+    gram,
+    matrix,
+    pair,
+    transvection,
+    xi_vector,
+)
 
 
 def identity_map(lat):
@@ -129,18 +137,6 @@ def dense_mat_vec(m, v):
     return [sum(x * c for x, c in zip(row, v)) for row in m]
 
 
-def dense_gram(lat):
-    """Slow oracle: the block-diagonal Gram matrix assembled from the summands."""
-    blocks = {U: ((0, 1), (1, 0)), E8_MINUS: lattice._e8_minus_gram()}
-    g, off = [[0] * lat.rank for _ in range(lat.rank)], 0
-    for s in lat.summands:
-        block = blocks.get(s, ((s,),))
-        for i, row in enumerate(block):
-            g[off + i][off : off + len(row)] = row
-        off += len(block)
-    return tuple(tuple(row) for row in g)
-
-
 def dense_is_isometry(m):
     """Slow oracle: M^T G M == G by textbook products."""
     g, mat = gram(m.lattice), matrix(m)
@@ -250,14 +246,14 @@ def test_transvection_examples():
     lat = build_xi(3)
     u1, v, minus_v = xi_vector(lat, u1=1), xi_vector(lat, v=1), xi_vector(lat, v=-1)
     t_map = transvection(u1, v)
-    assert t_map.apply(u1) == u1  # formula collapses on u1 itself
-    # inverse: t(x, y) o t(x, -y) = id in both orders, which is what lets
-    # the three-factor composition be rewritten as a conjugation
+    assert dense_mat_vec(t_map, u1.coords) == list(u1.coords)  # t(x, y) fixes x
+    # inverse: t(x, y) t(x, -y) = id in both orders, which is what lets
+    # the three-factor product be rewritten as a conjugation
     ident = matrix(identity_map(lat))
-    assert matrix(t_map.compose(transvection(u1, minus_v))) == ident
-    assert matrix(transvection(u1, minus_v).compose(t_map)) == ident
-    # and every column that comes back to e_j is dropped
-    assert t_map.compose(transvection(u1, minus_v)).moved == {}
+    assert dense_mat_mul(t_map, transvection(u1, minus_v)) == ident
+    assert dense_mat_mul(transvection(u1, minus_v), t_map) == ident
+    # and dense_map drops every column that is e_j
+    assert dense_map(lat, dense_mat_mul(t_map, transvection(u1, minus_v))).moved == {}
 
 
 def test_transvections_preserve_gram():
@@ -268,8 +264,8 @@ def test_transvections_preserve_gram():
         x = basis(lat, pick)
         coords = [rng.randint(-3, 3) for _ in range(lat.rank)]
         coords[pick + 1] = 0  # kill the dual coordinate: (y, x) = 0
-        y = element(lat, coords)
-        assert transvection(x, y).is_isometry()
+        m = dense_map(lat, transvection(x, element(lat, coords)))
+        assert m.is_isometry() and dense_is_isometry(m)
 
 
 def test_transvection_additivity_on_orthogonal_arguments():
@@ -285,8 +281,8 @@ def test_transvection_additivity_on_orthogonal_arguments():
 
         c1, c2 = random_orth(), random_orth()
         lhs = transvection(x, element(lat, [a + b for a, b in zip(c1, c2)]))
-        rhs = transvection(x, element(lat, c1)).compose(transvection(x, element(lat, c2)))
-        assert matrix(lhs) == matrix(rhs)
+        rhs = dense_mat_mul(transvection(x, element(lat, c1)), transvection(x, element(lat, c2)))
+        assert lhs == rhs
 
 
 def test_build_alpha_images_and_checks():
@@ -303,31 +299,31 @@ def test_build_alpha_images_and_checks():
         assert acts_trivially_on_discriminant(alpha)
 
 
+def alpha_factors(n):
+    """The dense transvections t(u1, -v), t(v1, (t-1)v - 2l) and t(u1, v) of
+    Xi(n), whose product, in this order, is alpha."""
+    t, lat = 4 * n - 3, build_xi(n)
+    u1, v1 = xi_vector(lat, u1=1), xi_vector(lat, v1=1)
+    return (
+        transvection(u1, xi_vector(lat, v=-1)),
+        transvection(v1, xi_vector(lat, v=t - 1, l=-2)),
+        transvection(u1, xi_vector(lat, v=1)),
+    )
+
+
 def test_build_alpha_matches_the_public_transvections():
-    # build_alpha works on nonzero coordinates; the same composition of
-    # transvections of named Xi(n) vectors is its oracle
+    # build_alpha writes alpha's three moved columns in closed form; the
+    # dense product of its three transvections is the oracle
     for n in [*range(2, 301), 10**6]:
-        t, lat = 4 * n - 3, build_xi(n)
-        u1, v1 = xi_vector(lat, u1=1), xi_vector(lat, v1=1)
-        expect = (
-            transvection(u1, xi_vector(lat, v=-1))
-            .compose(transvection(v1, xi_vector(lat, v=t - 1, l=-2)))
-            .compose(transvection(u1, xi_vector(lat, v=1)))
-        )
+        first, second, third = alpha_factors(n)
+        expect = dense_map(build_xi(n), dense_mat_mul(dense_mat_mul(first, second), third))
         assert build_alpha(n)[0].moved == expect.moved, n
 
 
 def test_isometry_matches_dense_oracle_on_alpha_and_its_transvections():
     for n in range(2, 201):
-        t, lat = 4 * n - 3, build_xi(n)
-        u1, v1 = xi_vector(lat, u1=1), xi_vector(lat, v1=1)
-        # the three factors of build_alpha; transvection checks each on construction
-        maps = [
-            transvection(u1, xi_vector(lat, v=-1)),
-            transvection(v1, xi_vector(lat, v=t - 1, l=-2)),
-            transvection(u1, xi_vector(lat, v=1)),
-            build_alpha(n)[0],
-        ]
+        lat = build_xi(n)
+        maps = [dense_map(lat, f) for f in alpha_factors(n)] + [build_alpha(n)[0]]
         for m in maps:
             assert m.is_isometry() and dense_is_isometry(m), n
 
@@ -436,13 +432,13 @@ def hyperbolic_pairs(lat):
 
 
 def random_transvections(rng, lat):
-    """A product of one to three random Eichler transvections t(e_a, y)."""
-    out = identity_map(lat)
+    """The dense product of one to three random Eichler transvections t(e_a, y)."""
+    out = matrix(identity_map(lat))
     for _ in range(rng.randint(1, 3)):
         a, b = rng.choice(hyperbolic_pairs(lat))
         coords = [rng.randint(-3, 3) for _ in range(lat.rank)]
         coords[b] = 0  # (e_a, y) = 0
-        out = out.compose(transvection(basis(lat, a), element(lat, coords)))
+        out = dense_mat_mul(out, transvection(basis(lat, a), element(lat, coords)))
     return out
 
 
@@ -457,13 +453,15 @@ _lattices = st.one_of(
 
 @settings(max_examples=300, deadline=None)
 @given(_lattices, st.integers(0, 2**32), st.data())
-def test_compose_apply_and_gram_product_match_dense_oracle(lat, seed, data):
+def test_apply_gram_product_and_isometry_match_dense_oracle(lat, seed, data):
     rng = random.Random(seed)
-    a, b = random_transvections(rng, lat), random_transvections(rng, lat)
-    assert matrix(a.compose(b)) == dense_mat_mul(matrix(a), matrix(b))
+    a = random_transvections(rng, lat)
+    m = dense_map(lat, a)
+    assert matrix(m) == a
+    assert m.is_isometry() and dense_is_isometry(m)
     entries = st.one_of(st.just(0), st.integers(-9, 9))  # mostly zeros, like the vectors used
     v = data.draw(st.lists(entries, min_size=lat.rank, max_size=lat.rank), label="v")
-    assert list(a.apply(element(lat, v)).coords) == dense_mat_vec(matrix(a), v)
+    assert list(m.apply(element(lat, v)).coords) == dense_mat_vec(a, v)
     g = dense_gram(lat)
     assert gram(lat) == g
     gv = lat.gram_product({j: c for j, c in enumerate(v) if c})
@@ -477,12 +475,11 @@ def test_discriminant_action_matches_oracle(lat, s_map, expected):
     assert oracle_acts_trivially(s_map) is expected
     assert adjugate_acts_trivially(s_map) is expected
     # Eichler transvections act trivially on the discriminant group, so
-    # T1 o S o T2, a dense matrix, has the verdict of S
+    # T1 S T2, a dense matrix, has the verdict of S
     rng = random.Random(12)
     for _ in range(30):
-        m = random_transvections(rng, lat).compose(s_map).compose(
-            random_transvections(rng, lat)
-        )
+        product = dense_mat_mul(random_transvections(rng, lat), matrix(s_map))
+        m = dense_map(lat, dense_mat_mul(product, random_transvections(rng, lat)))
         assert m.is_isometry()
         assert acts_trivially_on_discriminant(m) is expected
         assert adjugate_acts_trivially(m) is expected
