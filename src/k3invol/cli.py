@@ -414,12 +414,11 @@ def cmd_pell(args) -> int:
         if args.p is None or args.q is None:
             print("pell --kind mixed requires --p and --q", file=sys.stderr)
             return EXIT_ERROR
-        bound = 10**5 if args.bound is None else args.bound
-        if bound < 1:
-            # below 1 no x is searched: "no solution" would be vacuous
-            print(f"pell: --bound must be at least 1, got {bound}", file=sys.stderr)
+        if args.bound is not None and args.bound < 1:
+            # old scripts that pass a bound below 1 keep their error
+            print(f"pell: --bound must be at least 1, got {args.bound}", file=sys.stderr)
             return EXIT_ERROR
-        sol = pell.minimal_solution_mixed(args.p, args.q, x_bound=bound)
+        sol = pell.minimal_solution_mixed(args.p, args.q)
         misplaced = "--d does not apply to --kind mixed" if args.d is not None else ""
         obj = {
             "kind": "mixed",
@@ -429,7 +428,7 @@ def cmd_pell(args) -> int:
         }
         ok_line = (
             f"{args.p}*x^2 - {args.q}*y^2 = -1: "
-            + (f"minimal (x,y)=({sol.x},{sol.y})" if sol else "no solution below bound")
+            + (f"minimal (x,y)=({sol.x},{sol.y})" if sol else "unsolvable")
         )
     else:
         if args.d is None:
@@ -446,7 +445,7 @@ def cmd_pell(args) -> int:
             "D": args.d,
             "solution": [str(sol.x), str(sol.y)] if sol else None,
         }
-        rhs = 1 if args.kind == "fundamental" else -1
+        D, rhs = args.d, (1 if args.kind == "fundamental" else -1)
         ok_line = f"x^2 - {args.d}*y^2 = {rhs}: " + (
             f"minimal (x,y)=({sol.x},{sol.y})" if sol else "unsolvable"
         )
@@ -464,17 +463,12 @@ def cmd_pell(args) -> int:
     else:
         print(ok_line)
     if args.verify and sol is not None:
+        X, Y = sol
         if args.kind == "mixed":
-            ok = (
-                args.p * sol.x**2 - args.q * sol.y**2 == -1
-                and pell.minimal_solution_mixed(args.p, args.q, x_bound=sol.x - 1)
-                is None
-            )
-        else:
-            ok = sol.x * sol.x - args.d * sol.y * sol.y == rhs and not (
-                pell.has_smaller_solution(args.d, rhs, sol.y)
-            )
-        if not ok:
+            # p*x^2 - q*y^2 = -1 is X^2 - pq*Y^2 = rhs with |rhs| = min(p, q) | X
+            D, rhs = args.p * args.q, (-args.p if args.p < args.q else args.q)
+            X, Y = (args.p * X, Y) if args.p < args.q else (args.q * Y, X)
+        if X * X - D * Y * Y != rhs or pell.has_smaller_solution(D, rhs, Y, abs(rhs)):
             print("verify: FAIL minimality/equation", file=sys.stderr)
             return EXIT_ERROR
         print("verify: equation and minimality confirmed")
@@ -620,7 +614,12 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--d", type=int, default=None)
     p.add_argument("--p", type=int, default=None)
     p.add_argument("--q", type=int, default=None)
-    p.add_argument("--bound", type=int, default=None)  # 10**5 for --kind mixed
+    p.add_argument(
+        "--bound",
+        type=int,
+        default=None,
+        help="accepted for old scripts; --kind mixed needs no bound",
+    )
     _add_common(p, with_verify=True)
 
     p = add("eichler", "period-lattice isometry verification", cmd_eichler)

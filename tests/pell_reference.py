@@ -4,14 +4,16 @@
 
 kept as a reference for the wall kernel (:mod:`k3invol.kernel`), together
 with a deliberately dumb double-loop oracle mirroring a published search
-program that cross-checks it, and the case list (rho, alpha) of the wall
-criterion.
+program that cross-checks it, the case list (rho, alpha) of the wall
+criterion, and the bounded brute force for p*x^2 - q*y^2 = -1 that
+:func:`k3invol.pell.minimal_solution_mixed` answers exactly.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from typing import Optional
 
 from k3invol.pell import PellSolution, isqrt
 
@@ -137,3 +139,22 @@ def case_pairs(n: int, appendix_cases: bool):
     for rho in range(1, rho_top + 1):
         for alpha in range(4 * rho + 1, n):
             yield rho, alpha
+
+
+def minimal_solution_mixed_bounded(
+    p: int, q: int, x_bound: int = 10**5
+) -> Optional[PellSolution]:
+    """Minimal (x, y) > 0 with p*x^2 - q*y^2 = -1, searching x <= x_bound.
+
+    Plain bounded brute force: None means only that no x up to the bound
+    solves it.
+    """
+    if p <= 0 or q <= 0:
+        raise ValueError("p and q must be positive")
+    for x in range(1, x_bound + 1):
+        m = p * x * x + 1
+        if m % q == 0:
+            y, exact = isqrt(m // q)
+            if exact and y > 0:
+                return PellSolution(x, y)
+    return None

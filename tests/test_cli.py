@@ -328,7 +328,8 @@ def test_pell_command(capsys):
 
 
 def test_pell_mixed_rejects_a_bound_below_one(capsys):
-    # a bound below 1 searches no x: "no solution below bound" would be vacuous
+    # --bound bounds nothing now that the mixed kind is exact, but old
+    # scripts that pass a bound below 1 keep their error and exit code
     for bound in ("-1", "0"):
         for fmt in ("text", "json", "csv"):
             argv = ["pell", "--kind", "mixed", "--p", "2", "--q", "3", "--bound", bound]
@@ -337,9 +338,43 @@ def test_pell_mixed_rejects_a_bound_below_one(capsys):
                 "",
                 f"pell: --bound must be at least 1, got {bound}\n",
             )
-    # x = 1 is the first x searched: the smallest bound that finds (1, 1)
+    # a bound of 1 is accepted, and ignored like any other
     code, out, _ = run(capsys, ["pell", "--kind", "mixed", "--p", "2", "--q", "3", "--bound", "1"])
     assert (code, out) == (0, "2*x^2 - 3*y^2 = -1: minimal (x,y)=(1,1)\n")
+
+
+def test_pell_mixed_is_exact(capsys):
+    argv = ["pell", "--kind", "mixed", "--p", "2", "--q", "107", "--verify"]
+    solved = "2*x^2 - 107*y^2 = -1: minimal (x,y)=(416941,57003)\n"
+    assert run(capsys, argv) == (0, solved + "verify: equation and minimality confirmed\n", "")
+    # x = 416941 lies past the bound of the brute force this replaced
+    assert run(capsys, [*argv[:-1], "--bound", "10"]) == (0, solved, "")
+    # p > q walks (qy)^2 - pq*x^2 = q, and verifies through it
+    argv = ["pell", "--kind", "mixed", "--p", "13", "--q", "1", "--verify"]
+    assert run(capsys, argv) == (
+        0,
+        "13*x^2 - 1*y^2 = -1: minimal (x,y)=(180,649)\n"
+        "verify: equation and minimality confirmed\n",
+        "",
+    )
+    argv = ["pell", "--kind", "mixed", "--p", "2", "--q", "5"]
+    assert run(capsys, argv) == (0, "2*x^2 - 5*y^2 = -1: unsolvable\n", "")
+    assert run(capsys, [*argv, "--verify", "--format", "csv"]) == (
+        0,
+        "kind,solution_x,solution_y\nmixed,,\n",
+        "",
+    )
+
+
+def test_pell_mixed_stops_past_the_period_limit(capsys):
+    # the brute force printed "no solution below bound" for this and exited 0
+    q = 10**25 + 13
+    assert run(capsys, ["pell", "--kind", "mixed", "--p", "1", "--q", str(q)]) == (
+        1,
+        "",
+        f"k3invol: error: the continued-fraction period of sqrt({q}) is longer than"
+        f" 10000 terms; x^2 - {q}*y^2 = -1 is not decided\n",
+    )
 
 
 _ONLY_MIXED = "pell: --p, --q and --bound apply only to --kind mixed\n"

@@ -14,12 +14,14 @@ from k3invol.pell import (
     fundamental_solution,
     has_smaller_solution,
     isqrt,
+    minimal_solution,
     minimal_solution_mixed,
     negative_pell_minimal,
     smallest_prime_factor_3_mod_4,
 )
 from pell_reference import (
     GeneralizedPellProblem,
+    minimal_solution_mixed_bounded,
     solutions_bounded,
     solutions_bounded_oracle,
 )
@@ -296,6 +298,75 @@ def test_has_smaller_solution_matches_brute_force():
         has_smaller_solution(13, 4, 10)
 
 
+@pytest.mark.parametrize("args", [(16, 1, 5), (1, 1, 2), (0, 1, 3), (-3, 1, 2)])
+def test_has_smaller_solution_rejects_a_square_or_nonpositive_d(args):
+    # the walk divides by Q = D - a0^2, which is 0 for a square D
+    with pytest.raises(ValueError):
+        has_smaller_solution(*args)
+
+
+def sweep_solutions(D, y_limit):
+    """{N: [(x, y), ...] in increasing y} for every solution of
+    x^2 - D*y^2 = N with 0 < |N| < sqrt(D) and 0 < y <= y_limit.
+
+    |x - y sqrt(D)| = |N|/(x + y sqrt(D)) < 1, so only x = floor(y sqrt(D))
+    and x + 1 can solve it, and one pass over y serves every N."""
+    found = {}
+    for y in range(1, y_limit + 1):
+        dy2 = D * y * y
+        x = math.isqrt(dy2)
+        below = x * x - dy2
+        above = below + 2 * x + 1
+        if below and below * below < D:
+            found.setdefault(below, []).append(PellSolution(x, y))
+        if above * above < D:
+            found.setdefault(above, []).append(PellSolution(x + 1, y))
+    return found
+
+
+def test_minimal_solution_matches_a_y_sweep():
+    # every nonsquare D < 2000 and 0 < |N| < sqrt(D); below D = 300 also
+    # every divisor d of D, the condition d | x the mixed kind needs
+    y_limit = 2000
+    beyond = 0
+    for D in range(2, 2000):
+        r, square = isqrt(D)
+        if square:
+            continue
+        found = sweep_solutions(D, y_limit)
+        divisors = [d for d in range(1, D + 1) if D % d == 0] if D < 300 else [1]
+        for N in (n for n in range(-r, r + 1) if n):
+            for d in divisors:
+                sol = minimal_solution(D, N, d)
+                swept = [s for s in found.get(N, ()) if s.x % d == 0]
+                if sol is None or sol.y > y_limit:
+                    assert swept == [], (D, N, d, sol)
+                    if sol is not None:
+                        beyond += 1
+                        assert sol.x**2 - D * sol.y**2 == N and sol.x % d == 0
+                else:
+                    assert sol == swept[0], (D, N, d, sol, swept[0])
+                    assert not has_smaller_solution(D, N, sol.y, d)
+                    assert has_smaller_solution(D, N, sol.y + 1, d)
+    # the walk finds solutions the sweep cannot reach
+    assert beyond > 1000
+
+
+def test_minimal_solution_rejects_what_it_does_not_decide():
+    for D, N, d in [(13, 4, 1), (13, -4, 1), (13, 0, 1), (13, 1, 2), (13, 1, 0), (16, 1, 1)]:
+        with pytest.raises(ValueError):
+            minimal_solution(D, N, d)
+
+
+def test_minimal_solution_stops_past_the_period_limit(monkeypatch):
+    # sqrt(61) has period 11; 61x^2 - y^2 = -1 is (y)^2 - 61x^2 = 1
+    monkeypatch.setattr(pell, "MAX_PERIOD", 11)
+    assert minimal_solution_mixed(61, 1) == (226153980, 1766319049)
+    monkeypatch.setattr(pell, "MAX_PERIOD", 10)
+    with pytest.raises(ValueError, match="longer than 10 terms"):
+        minimal_solution_mixed(61, 1)
+
+
 def test_mixed_examples():
     # (n-1)x^2 - t y^2 = -1 for n = 3, 4 has minimum (2, 1)
     assert minimal_solution_mixed(2, 9) == (2, 1)
@@ -307,7 +378,7 @@ def test_mixed_minimality_brute():
     rng = random.Random(2)
     for _ in range(200):
         p, q = rng.randint(1, 40), rng.randint(1, 40)
-        sol = minimal_solution_mixed(p, q, x_bound=500)
+        sol = minimal_solution_mixed(p, q)
         if sol is None:
             for x in range(1, 501):
                 m = p * x * x + 1
@@ -317,6 +388,47 @@ def test_mixed_minimality_brute():
             for x in range(1, sol.x):
                 m = p * x * x + 1
                 assert m % q != 0 or not isqrt(m // q)[1]
+
+
+@pytest.mark.parametrize(
+    "p, q, expected",
+    [
+        # odd periods: the least solution closes the second period, which a
+        # walk that stops after one period never reaches
+        (2, 1, (2, 3)),
+        (13, 1, (180, 649)),
+        (61, 1, (226153980, 1766319049)),
+        # minimal x above the old brute force's bound 10^5
+        (2, 107, (416941, 57003)),
+        # pq = 16 is a square: 2(x - 2y)(x + 2y) = -1
+        (2, 8, None),
+    ],
+)
+def test_mixed_pinned_pairs(p, q, expected):
+    assert minimal_solution_mixed(p, q) == expected
+
+
+def test_mixed_matches_the_bounded_brute_force():
+    # wherever the brute force finds x <= 10^5, for 1 <= p, q < 80.  A pair
+    # with no root of p*x^2 == -1 (mod q) or of q*y^2 == 1 (mod p) has no
+    # solution at all, so the brute force, which would scan 10^5 values of
+    # x for it, must find nothing and is skipped
+    bounded = 0
+    for p in range(1, 80):
+        for q in range(1, 80):
+            sol = minimal_solution_mixed(p, q)
+            if not any((p * x * x + 1) % q == 0 for x in range(q)) or not any(
+                (q * y * y - 1) % p == 0 for y in range(p)
+            ):
+                assert sol is None, (p, q)
+                continue
+            brute = minimal_solution_mixed_bounded(p, q)
+            if brute is None:
+                assert sol is None or sol.x > 10**5, (p, q, sol)
+            else:
+                assert sol == brute, (p, q, sol, brute)
+                bounded += 1
+    assert bounded > 500
 
 
 def test_problem_validation():
