@@ -493,8 +493,8 @@ def cmd_eichler(args) -> int:
             {
                 "n": n,
                 "rank": 23,
-                "fixed_class_image": [str(c) for c in fixed_out.coords],
-                "kappa_image": [str(c) for c in kappa.coords],
+                "fixed_class_image": [str(c) for c in lattice.xi_coords(fixed_out)],
+                "kappa_image": [str(c) for c in lattice.xi_coords(kappa)],
                 "isometry": True,
                 "discriminant_trivial": disc,
             }

@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .mukai import MukaiContext, MukaiVector, mukai_pairing, standard_vectors
 from .pell import (
@@ -32,8 +31,7 @@ class BirStatus(enum.Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class NsSigma:
+class NsSigma(NamedTuple):
     n: int
     g: int
     L_square: int
@@ -45,8 +43,7 @@ class NsSigma:
         return self.L_square * self.kappa_square
 
 
-@dataclass(frozen=True)
-class BirVerdict:
+class BirVerdict(NamedTuple):
     status: BirStatus
     witness: Optional[PellSolution] = None
     obstruction: Optional[int] = None
@@ -56,8 +53,7 @@ class BirVerdict:
     w_divisibility: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class DimensionReport:
+class DimensionReport(NamedTuple):
     n: int
     h0_full: int
     proj_dim: int

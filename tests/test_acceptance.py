@@ -19,7 +19,7 @@ from k3invol import hilbcone, kernel, lattice, mukai, sigma
 from k3invol.cli import main as cli_main
 from k3invol.mukai import MukaiContext, MukaiVector, mukai_pairing
 from k3invol.pell import fundamental_solution, isqrt, minimal_solution_mixed
-from lattice_reference import bb_form, xi_vector
+from lattice_reference import bb_form, l5_vector
 from pell_reference import (
     GeneralizedPellProblem,
     solutions_bounded,
@@ -195,18 +195,17 @@ def test_09_eichler_verification(capsys):
     for n in range(2, 101):
         t, m = 4 * n - 3, 2 * (n - 1)
         alpha, fixed, kappa = lattice.build_alpha(n)  # image identities verified inside
-        lat = alpha.lattice
         # alpha(u + tv - 2l) = u + v
-        assert alpha.apply(xi_vector(lat, u=1, v=t, l=-2)) == fixed == xi_vector(lat, u=1, v=1)
+        assert alpha.apply(l5_vector(u=1, v=t, l=-2)) == fixed == l5_vector(u=1, v=1)
         # alpha(2(n-1)(u + tv) - tl) = 2(n-1)(u - v) + 4(n-1)v1 - l
-        expect = xi_vector(lat, u=m, v=-m, v1=2 * m, l=-1)
-        assert alpha.apply(xi_vector(lat, u=m, v=m * t, l=-t)) == kappa == expect
+        expect = l5_vector(u=m, v=-m, v1=2 * m, l=-1)
+        assert alpha.apply(l5_vector(u=m, v=m * t, l=-t)) == kappa == expect
         assert alpha.is_isometry()
         assert lattice.acts_trivially_on_discriminant(alpha)
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0, f"eichler suite took {elapsed:.1f}s (limit 30s)"
     with capsys.disabled():
-        _report(9, f"rank-23 isometry, both images and discriminant triviality for n in [2,100] in {elapsed:.1f}s")
+        _report(9, f"isometry on L5, both images and discriminant triviality for n in [2,100] in {elapsed:.1f}s")
 
 
 def test_10_sigma_invariants(capsys):

@@ -16,7 +16,7 @@ import k3invol
 from k3invol import cli, hilbcone, lattice, pell, sigma
 from k3invol.pell import PellSolution, fundamental_solution, negative_pell_minimal
 from k3invol.cli import main
-from lattice_reference import xi_vector
+from lattice_reference import identity, l5_vector
 
 
 def run(capsys, argv):
@@ -298,20 +298,26 @@ def test_cli_loads_only_the_subcommands_modules():
     code = (
         "import sys; import k3invol.cli as cli; after_import = sorted(sys.modules); "
         "rc = cli.main(['scan', '--min-n', '2', '--max-n', '30', '--format', 'json']); "
-        "sys.stderr.write(repr((rc, after_import, sorted(sys.modules))))"
+        "after_scan = sorted(sys.modules); "
+        "rcs = [cli.main([cmd, '--n', '5', '--format', 'json']) for cmd in ('eichler', 'sigma', 'formulas')]; "
+        "sys.stderr.write(repr((rc, rcs, after_import, after_scan, sorted(sys.modules))))"
     )
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
-    rc, after_import, after_scan = ast.literal_eval(proc.stderr)
-    assert rc == 0 and len(json.loads(proc.stdout)["rows"]) == 29
+    rc, rcs, after_import, after_scan, after_all = ast.literal_eval(proc.stderr)
+    assert rc == 0 and rcs == [0, 0, 0]
+    assert len(json.JSONDecoder().raw_decode(proc.stdout)[0]["rows"]) == 29
     heavy = {"dataclasses", "inspect", "fractions", "decimal", "csv"}
     assert [m for m in after_import if m.startswith("k3invol.")] == ["k3invol.cli"]
     assert heavy.isdisjoint(after_import)
     assert {"k3invol.hilbcone", "k3invol.kernel", "k3invol.mukai"} <= set(after_scan)
     unused = {"k3invol.lattice", "k3invol.pell", "k3invol.sigma", "dataclasses", "fractions"}
     assert unused.isdisjoint(after_scan)
+    # eichler, sigma and formulas load their modules but no dataclasses
+    assert {"k3invol.lattice", "k3invol.pell", "k3invol.sigma"} <= set(after_all)
+    assert {"dataclasses", "inspect"}.isdisjoint(after_all)
 
 
 def test_pell_command(capsys):
@@ -549,11 +555,10 @@ def test_eichler_runs_each_check_once(capsys, monkeypatch):
 
 
 def test_eichler_verify_fails_on_discriminant(capsys, monkeypatch):
-    # -id is an isometry, but acts as -1 on the discriminant group Z/8 of Xi(5)
-    xi = lattice.build_xi(5)
-    minus_id = lattice.LatticeMap(xi, {j: {j: -1} for j in range(23)})
+    # -id on L5 is an isometry, but acts as -1 on the discriminant group Z/8 of Xi(5)
+    minus_id = lattice.LatticeMap(5, tuple(tuple(-x for x in e) for e in identity(5)))
     # -(u + 17v - 2l) and -(8(u + 17v) - 17l)
-    images = (xi_vector(xi, u=-1, v=-17, l=2), xi_vector(xi, u=-8, v=-136, l=17))
+    images = (l5_vector(u=-1, v=-17, l=2), l5_vector(u=-8, v=-136, l=17))
     monkeypatch.setattr(lattice, "build_alpha", lambda n: (minus_id, *images))
     code, out, err = run(capsys, ["eichler", "--n", "5", "--verify"])
     assert code == 1
@@ -566,9 +571,10 @@ def test_eichler_verify_fails_on_discriminant(capsys, monkeypatch):
 
 def test_eichler_rejects_non_isometry(capsys, monkeypatch):
     alpha, *images = lattice.build_alpha(5)
-    # v2 -> v2 + l, of square -8: no longer isotropic; the two defining
-    # inputs have no v2 coordinate, so their images stay those of alpha
-    bad = lattice.LatticeMap(alpha.lattice, {**alpha.moved, 5: {5: 1, 22: 1}})
+    # v1 -> v1 + l, of square -8: no longer isotropic; the two defining
+    # inputs have no v1 coordinate, so their images stay those of alpha
+    u, v, u1, _, ell = alpha.columns
+    bad = lattice.LatticeMap(5, (u, v, u1, l5_vector(v1=1, l=1), ell))
     monkeypatch.setattr(lattice, "build_alpha", lambda n: (bad, *images))
     code, out, err = run(capsys, ["eichler", "--n", "5", "--verify"])
     assert (code, out) == (1, "")
