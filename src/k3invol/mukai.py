@@ -9,13 +9,14 @@ The module provides the distinguished vectors v, a, w, u and v^(i)
 spanning the wall lattice of the Hilbert scheme, the stratification
 bookkeeping of the indeterminacy locus, and two exhaustive integer
 searches certifying that v^(i) admits no decomposition into positive
-classes and no unexpected spherical class pairs against it.  Both
-searches solve for y in exact Python integers, one x at a time, so they
-never wrap.  Each walks only the x where its region can hold a class,
-so it costs O(1) steps whatever the bound: the spherical search walks
-the |x| <= x_max that the window 0 < (s, v^(i)) <= (v^(i))^2 / 2 allows
-(x_max <= 1 for every n < 400), the decomposition search the x between
-0 and the target's x0 (two values of x for v^(i), where x0 = 1).
+classes and no unexpected spherical class pairs against it.  On
+span(v, a) both facts are theorems (proved in ``_decompositions`` and
+``spherical_search``); the searches stay as their computational
+cross-check, as the scan does for C_n = 1.  Each solves for y in exact
+Python integers, one x at a time, over only the x where its region can
+hold a class: x = 0 or 1 for a decomposition of v^(i), and |x| <= x_max
+for the spherical window, where x_max = 1 if n = (i+2)(i+3), else 0.
+So a search costs O(1) steps whatever the bound.
 """
 
 from __future__ import annotations
@@ -28,15 +29,6 @@ class MukaiVector(NamedTuple):
     r: int
     c: int
     s: int
-
-    def __add__(self, other: "MukaiVector") -> "MukaiVector":
-        return MukaiVector(self.r + other.r, self.c + other.c, self.s + other.s)
-
-    def __sub__(self, other: "MukaiVector") -> "MukaiVector":
-        return MukaiVector(self.r - other.r, self.c - other.c, self.s - other.s)
-
-    def __rmul__(self, k: int) -> "MukaiVector":
-        return MukaiVector(k * self.r, k * self.c, k * self.s)
 
 
 class MukaiContext:
@@ -119,36 +111,36 @@ def spherical_search(ctx: MukaiContext, i: int, bound: int) -> list[tuple[int, i
     -2V - l^2 = -t*m^2, that is t*m^2 = l^2 + 2V <= (V^2 + 8V)/4, and
     |m| <= m_max = isqrt((V^2 + 8V) // 4t).  Substituting y = m - (i+1)x
     in l = (2n-i-3)x + (2i+3)y gives V*x = l - (2i+3)m, so
-    |x| <= x_max = (V/2 + (2i+3)*m_max) // V.  For every n < 400 that is
-    x_max <= 1.
+    |x| <= x_max = (V/2 + (2i+3)*m_max) // V.  Theorem: x_max = 1 if
+    n = (i+2)(i+3), else 0.  As (2i+3)^2 = t - 2V, x_max >= 1 reads
+    4(t - 2V)m_max^2 >= V^2; with 4t*m_max^2 <= V^2 + 8V that forces
+    m_max = 1 and V^2 + 8V = 4t, i.e. 4n + 1 = ((V+4)/2)^2.  So n = k(k+1),
+    V = 4k - 2 and k = i+2, hence 2i+3 = V/2 and x_max = 1.  At x = 0 and
+    x = +-1 the roots y then give only ``expected_spherical_window``.
     """
-    if i < -1:
-        raise ValueError("i must be at least -1")
+    vi = v_i(ctx, i)
     if bound < 0:
         raise ValueError("bound must be at least 0")
-    vi = v_i(ctx, i)
     vi_sq = mukai_pairing(ctx, vi, vi)
     if vi_sq <= 0:
         raise ValueError("spherical window is empty or vacuous unless (v^(i))^2 > 0")
     n, t = ctx.n, ctx.t
     m_max = math.isqrt((vi_sq * vi_sq + 8 * vi_sq) // (4 * t))
     x_max = min(bound, (vi_sq // 2 + (2 * i + 3) * m_max) // vi_sq)
-    out = set()
+    out = []
     for x in range(-x_max, x_max + 1):
         disc = t * x * x + 4
         z = math.isqrt(disc)
         if z * z != disc:
             continue
-        for zz in (z, -z) if z else (0,):
-            # y^2 - xy - ((n-1)x^2 + 1) = 0  =>  2y = x +- z
-            if (x + zz) % 2:
-                continue
-            y = (x + zz) // 2
+        # y^2 - xy - ((n-1)x^2 + 1) = 0  =>  2y = x +- z, two integer roots:
+        # z >= 2 as disc >= 4, and z = x (mod 2) as t is odd
+        for y in ((x + z) // 2, (x - z) // 2):
             if abs(y) > bound:
                 continue
             pair = (2 * n - i - 3) * x + (2 * i + 3) * y
             if 0 < 2 * pair <= vi_sq:
-                out.add((x, y))
+                out.append((x, y))
     return sorted(out)
 
 
@@ -171,8 +163,6 @@ def expected_spherical_window(
     ``lemmas`` certifies it by comparing the search against this set.
     Only classes in the searched box |x|, |y| <= bound are expected.
     """
-    if i < -1:
-        raise ValueError("i must be at least -1")
     vi = v_i(ctx, i)
     vi_sq = mukai_pairing(ctx, vi, vi)
     if vi_sq <= 0:
@@ -188,9 +178,9 @@ def expected_spherical_window(
 
 def positive_decomposition_search(
     ctx: MukaiContext, i: int, bound: int
-) -> list[tuple[MukaiVector, MukaiVector]]:
-    """All splittings v^(i) = w1 + w2 with w1 = x*v + y*a, |x|, |y| <= bound,
-    both parts nonzero, of nonnegative square and positive pairing with v^(i).
+) -> list[tuple[int, int]]:
+    """(x, y), |x|, |y| <= bound, splitting v^(i) into w1 = x*v + y*a and
+    w2 = v^(i) - w1, both of nonnegative square and positive pairing with v^(i).
 
     Expected empty whenever n >= (i+1)(i+2); a nonempty result would mean
     the flopping wall degenerates, so callers treat it as a finding.
@@ -205,14 +195,7 @@ def positive_decomposition_search(
         raise ValueError("bound must be at least 0")
     if ctx.n < (i + 1) * (i + 2):
         raise ValueError("requires n >= (i+1)(i+2)")
-    n = ctx.n
-    vi = v_i(ctx, i)
-    v, a = MukaiVector(1, 0, -(n - 1)), MukaiVector(-2, 1, -(2 * n - 1))
-    found = []
-    for x, y in _decompositions(n, 1, -(i + 1), bound):
-        w1 = x * v + y * a
-        found.append((w1, vi - w1))
-    return found
+    return _decompositions(ctx.n, 1, -(i + 1), bound)
 
 
 def _decompositions(n: int, x0: int, y0: int, bound: int) -> list[tuple[int, int]]:

@@ -181,6 +181,14 @@ def test_sigma_command(capsys):
     code, out, _ = run(capsys, ["sigma", "--n", "7", "--verify"])
     assert code == 0 and "checks passed" in out
 
+    # the text verdicts of the two branches without a witness
+    code, out, _ = run(capsys, ["sigma", "--n", "5"])
+    assert code == 0
+    assert "\nBir: unknown  [pell_d=34 solvable=False w_div=1]\n" in out
+    code, out, _ = run(capsys, ["sigma", "--n", "6"])
+    assert code == 0
+    assert "\nBir: infinite  obstruction p=7\n" in out
+
 
 def test_sigma_verify_h0_check_runs_before_output(capsys, monkeypatch):
     # dimension_report cross-checks h0(1) against the subsystem quotient
@@ -200,18 +208,42 @@ def test_strata_command(capsys):
     assert "fiber=2" in lines[0] and "fiber=6" in lines[1]
     code, out, _ = run(capsys, ["strata", "--n", "6", "--verify"])
     assert code == 0 and "verify: 4 checks passed" in out
+    code, out, _ = run(capsys, ["strata", "--n", "6", "--format", "csv"])
+    assert code == 0
+    assert out == (
+        "n,k,moduli_dim,codim_in_N,fiber_dim,dim_Jk,hom_rank\n"
+        "6,0,8,4,2,10,3\n"
+        "6,1,0,12,6,6,5\n"
+    )
+    code, out, _ = run(capsys, ["strata", "--n", "6", "--format", "json"])
+    assert code == 0
+    row0 = {"codim_in_N": 4, "dim_Jk": 10, "fiber_dim": 2, "hom_rank": 3, "k": 0}
+    row1 = {"codim_in_N": 12, "dim_Jk": 6, "fiber_dim": 6, "hom_rank": 5, "k": 1}
+    assert out == json.dumps(
+        {
+            "n": 6,
+            "r_max": 1,
+            "strata": [
+                {**row0, "moduli_dim": 8, "vector": ["3", "-1", "6"]},
+                {**row1, "moduli_dim": 0, "vector": ["5", "-2", "17"]},
+            ],
+        },
+        indent=2,
+        sort_keys=True,
+    ) + "\n"
 
 
 def test_strata_verify_reports_wrong_row(capsys, monkeypatch):
     from k3invol import mukai
 
     good = mukai.strata_table(mukai.MukaiContext(6))
-    bad = [good[0], good[1]._replace(dim_Jk=good[1].dim_Jk + 1)]
-    monkeypatch.setattr(mukai, "strata_table", lambda ctx: bad)
-    code, out, err = run(capsys, ["strata", "--n", "6", "--verify"])
-    assert code == 1
-    assert "checks passed" not in out
-    assert "verify: FAIL" in err and "k=1" in err
+    for field, check in (("dim_Jk", "dim J_k"), ("moduli_dim", "moduli dimension")):
+        bad = [good[0], good[1]._replace(**{field: getattr(good[1], field) + 1})]
+        monkeypatch.setattr(mukai, "strata_table", lambda ctx: bad)
+        code, out, err = run(capsys, ["strata", "--n", "6", "--verify"])
+        assert code == 1
+        assert "checks passed" not in out
+        assert err.startswith(f"verify: FAIL {check} at k=1: "), field
 
 
 def test_lemmas_command(capsys):
@@ -638,6 +670,12 @@ def test_module_errors_exit_one(capsys):
     assert code == 1 and "error" in err
     code, _, err = run(capsys, ["sigma", "--n", "3"])
     assert code == 1
+    for argv, message in (
+        (["lemmas", "--n", "1"], "n must be at least 2"),
+        (["strata", "--n", "1"], "n must be at least 2"),
+        (["pell", "--kind", "mixed", "--p", "0", "--q", "3"], "p and q must be positive"),
+    ):
+        assert run(capsys, argv) == (1, "", f"k3invol: error: {message}\n"), argv
 
 
 # ---------------------------------------------------------------- JSON and dispatch

@@ -101,6 +101,10 @@ def test_wall_record_validation():
     with pytest.raises(ValueError):
         # (51, 6) solves the case but sits on the cone boundary
         WallRecord.build(3, -1, 1, 51, 6)
+    with pytest.raises(ValueError, match="not congruent"):
+        WallRecord.build(7, 0, 5, 25, 1)  # solves the case; 25 = 1 (mod 12)
+    with pytest.raises(ValueError, match="wrong pairing against v"):
+        WallRecord.build(3, -1, -1, 9, 1)  # |(v, a)| = 1, not alpha = -1
 
 
 def _case_of(n, X, Y):
@@ -192,6 +196,14 @@ def test_walls_verify_reports_a_kernel_without_the_middle_wall(monkeypatch, caps
     assert cli_main(["walls", "--n", "5", "--verify"]) == 1
     captured = capsys.readouterr()
     assert captured.err == "verify: FAIL wall count symmetry\n"
+
+
+def test_walls_verify_reports_a_mirror_that_breaks_stability(monkeypatch, capsys):
+    # a mirror that sends the middle ray (t, 1) to (t, 2) leaves the ray set
+    monkeypatch.setattr(kernel, "mirror", lambda n, x, y: (x, 2 * y))
+    assert cli_main(["walls", "--n", "5", "--verify"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "verify: FAIL involution stability\n"
 
 
 def test_enumerate_walls_small_n():
@@ -316,6 +328,20 @@ def test_scan_reports_full_only_witness(monkeypatch, capsys):
     assert cli_main(["scan", "--min-n", "7", "--max-n", "7"]) == 2
     out = capsys.readouterr().out
     assert "FINDING: mode disagreement: n=7 rho=5 alpha=14 X=26 Y=1" in out
+    # CSV keeps stdout a table and reports the findings on stderr
+    assert cli_main(["scan", "--min-n", "7", "--max-n", "7", "--format", "csv"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "n,C_n,beyond_verified\n7,2,false\n"
+    assert captured.err == (
+        "FINDING: mode disagreement: n=7 rho=5 alpha=14 X=26 Y=1\n"
+        "FINDING: C_n > 1: n=7 C_n=2\n"
+    )
+    assert cli_main(["walls", "--n", "7"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "n=7 t=25 C_n=2 interior_walls=2"
+    assert lines[1].startswith("rho=5 alpha=14  X=26 Y=1")
+    assert lines[1].endswith("  [below middle]")
+    assert lines[2].endswith("  [middle]")
 
 
 def test_appendix_modes_agree_on_injected_walls(monkeypatch, capsys):

@@ -23,6 +23,11 @@ from k3invol.mukai import (
 )
 
 
+def _comb(x, v, y, a):
+    """x*v + y*a, componentwise: MukaiVector is a plain NamedTuple."""
+    return MukaiVector(*(x * p + y * q for p, q in zip(v, a)))
+
+
 def test_pairing_examples():
     ctx = MukaiContext(3)
     v = MukaiVector(1, 0, -2)
@@ -46,10 +51,9 @@ def test_pairing_symmetric_bilinear():
         x, y, z = vs
         k = rng.randint(-5, 5)
         assert mukai_pairing(ctx, x, y) == mukai_pairing(ctx, y, x)
-        assert mukai_pairing(ctx, x + y, z) == mukai_pairing(ctx, x, z) + mukai_pairing(
-            ctx, y, z
-        )
-        assert mukai_pairing(ctx, k * x, z) == k * mukai_pairing(ctx, x, z)
+        xz, yz = mukai_pairing(ctx, x, z), mukai_pairing(ctx, y, z)
+        assert mukai_pairing(ctx, _comb(1, x, 1, y), z) == xz + yz
+        assert mukai_pairing(ctx, _comb(k, x, 0, y), z) == k * xz
 
 
 def test_gram_identities_full_range():
@@ -63,7 +67,7 @@ def test_gram_identities_full_range():
         assert mukai_pairing(ctx, a, w) == 3
         assert mukai_pairing(ctx, u, u) == 2
         assert mukai_pairing(ctx, u, w) == 0
-        assert w == v - a
+        assert w == _comb(1, v, -1, a)
 
 
 def test_v_i_values_and_squares():
@@ -76,12 +80,14 @@ def test_v_i_values_and_squares():
     v1 = v_i(ctx, 1)
     assert v1 == MukaiVector(5, -2, 17)
     assert mukai_pairing(ctx, v1, v1) == -2
+    with pytest.raises(ValueError, match="i must be at least -1"):
+        v_i(ctx, -2)
     for n in range(2, 501):
         ctx = MukaiContext(n)
         v, a, _, _ = standard_vectors(ctx)
         for i in range(-1, r_max(ctx) + 3):
             vi = v_i(ctx, i)
-            assert vi == v - (i + 1) * a  # the definition, as the oracle
+            assert vi == _comb(1, v, -(i + 1), a)  # the definition, as the oracle
             assert vi == MukaiVector(
                 2 * i + 3, -(i + 1), (2 * i + 1) * n - i
             )
@@ -122,7 +128,7 @@ def _spherical_classes(n, bound):
     out = []
     for x in range(-bound, bound + 1):
         for y in range(-bound, bound + 1):
-            s = x * v + y * a
+            s = _comb(x, v, y, a)
             if mukai_pairing(ctx, s, s) == -2:
                 out.append((x, y))
     return out
@@ -137,7 +143,7 @@ def _spherical_oracle(n, i, bound):
     return sorted(
         (x, y)
         for x, y in _spherical_classes(n, bound)
-        if 0 < 2 * mukai_pairing(ctx, x * v + y * a, vi) <= vi_sq
+        if 0 < 2 * mukai_pairing(ctx, _comb(x, v, y, a), vi) <= vi_sq
     )
 
 
@@ -193,8 +199,46 @@ def test_spherical_rejects_vacuous_window():
     # i = r_max = 1 has (v^(1))^2 = -2 < 0
     with pytest.raises(ValueError):
         spherical_search(ctx, 1, 10)
+    with pytest.raises(ValueError, match="vacuous"):
+        mukai.expected_spherical_window(ctx, 1, 5)
     with pytest.raises(ValueError):
         spherical_search(ctx, 0, -1)  # empty box
+    # the index is checked first, then the box, then the window
+    with pytest.raises(ValueError, match="i must be at least -1"):
+        spherical_search(ctx, -2, -1)
+    with pytest.raises(ValueError, match="i must be at least -1"):
+        mukai.expected_spherical_window(ctx, -2, 5)
+    with pytest.raises(ValueError, match="bound must be at least 0"):
+        spherical_search(ctx, 1, -1)
+
+
+@st.composite
+def _n_and_index(draw):
+    """n up to 10^12, half of them m(m+1), and i at either end of its range."""
+    n = draw(st.integers(1, 10**6).map(lambda m: m * (m + 1)) | st.integers(2, 10**12))
+    top = r_max(MukaiContext(n))
+    i = draw(st.sampled_from([-1, 0, 1, top - 2, top - 1, top]))
+    return n, min(max(i, -1), top)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_n_and_index())
+def test_spherical_window_theorem(n_i):
+    # the theorem of the spherical_search docstring, at a bound no search
+    # could walk: x_max is 1 exactly when n = (i+2)(i+3), the search finds
+    # the expected window, and v^(i) has no positive decomposition
+    n, i = n_i
+    ctx = MukaiContext(n)
+    t, vi_sq = 4 * n - 3, 2 * (n - i * i - 3 * i - 3)
+    bound = 10**30
+    if vi_sq > 0:
+        m_max = math.isqrt((vi_sq * vi_sq + 8 * vi_sq) // (4 * t))
+        x_max = (vi_sq // 2 + (2 * i + 3) * m_max) // vi_sq
+        assert x_max == (n == (i + 2) * (i + 3)), (n, i)
+        expected = mukai.expected_spherical_window(ctx, i, bound)
+        assert spherical_search(ctx, i, bound) == sorted(expected), (n, i)
+    if i >= 0:
+        assert positive_decomposition_search(ctx, i, bound) == [], (n, i)
 
 
 def _positive_oracle(n, target, bound):
@@ -203,12 +247,12 @@ def _positive_oracle(n, target, bound):
     positive pairing with T."""
     ctx = MukaiContext(n)
     v, a, _, _ = standard_vectors(ctx)
-    big_t = target[0] * v + target[1] * a
+    big_t = _comb(target[0], v, target[1], a)
     out = []
     for x in range(-bound, bound + 1):
         for y in range(-bound, bound + 1):
-            w1 = x * v + y * a
-            w2 = big_t - w1
+            w1 = _comb(x, v, y, a)
+            w2 = _comb(1, big_t, -1, w1)
             if not any(w1) or not any(w2):
                 continue
             if (
@@ -229,14 +273,8 @@ def test_positive_decomposition_examples():
 
 def test_positive_decomposition_matches_oracle():
     for n, i in ((3, 0), (5, 0), (6, 1), (12, 2), (13, 1)):
-        ctx = MukaiContext(n)
-        v, a, _, _ = standard_vectors(ctx)
-        vi = v_i(ctx, i)
-        expected = [
-            (x * v + y * a, vi - (x * v + y * a))
-            for x, y in _positive_oracle(n, (1, -(i + 1)), 10)
-        ]
-        assert positive_decomposition_search(ctx, i, 10) == expected
+        expected = _positive_oracle(n, (1, -(i + 1)), 10)
+        assert positive_decomposition_search(MukaiContext(n), i, 10) == expected
 
 
 @settings(max_examples=300, deadline=None)

@@ -245,6 +245,9 @@ def test_smallest_prime_factor_3_mod_4_rejects_zero():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=20
     )
     assert proc.returncode == 0, proc.stderr
+    # in process too, now that the child showed it returns
+    with pytest.raises(ValueError, match="m must be nonzero"):
+        smallest_prime_factor_3_mod_4(0)
 
 
 def test_fundamental_stops_past_the_period_limit(monkeypatch):

@@ -19,17 +19,6 @@ import k3invol
 
 PACKAGE = os.path.dirname(os.path.realpath(k3invol.__file__))
 
-# defs that no CLI path reaches, each with the reason it stays
-ALLOWED_UNREACHED = {
-    f"mukai.MukaiVector.{op}": (
-        "positive_decomposition_search builds w1 = x*v + y*a and v^(i) - w1"
-        " only for a pair it finds, a finding that no n produces; without it"
-        " + and * on the NamedTuple fall back to tuple concatenation and"
-        " repetition"
-    )
-    for op in ("__add__", "__sub__", "__rmul__")
-}
-
 ARGVS = [
     *(
         argv + ["--format", fmt]
@@ -147,7 +136,4 @@ def test_every_def_is_reached_from_the_cli():
     assert proc.returncode == 0, proc.stderr
     reached = {(os.path.realpath(f), line) for f, line in json.loads(proc.stdout)}
     defs = package_defs()
-    unreached = {name for key, name in defs.items() if key not in reached}
-    assert set(ALLOWED_UNREACHED) <= set(defs.values()), "allowlist names a missing def"
-    assert sorted(unreached - set(ALLOWED_UNREACHED)) == []
-    assert sorted(set(ALLOWED_UNREACHED) - unreached) == [], "allowlisted def is reached"
+    assert sorted(name for key, name in defs.items() if key not in reached) == []

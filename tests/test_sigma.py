@@ -119,6 +119,10 @@ def test_h0_examples():
     assert h0_sigma(3, 1) == 3
     for n in range(3, 301):
         assert h0_sigma(n, 1) == n * (n - 1) // 2
+    with pytest.raises(ValueError, match="n >= 3"):
+        h0_sigma(2, 1)
+    with pytest.raises(ValueError, match="k must be positive"):
+        h0_sigma(5, 0)
 
 
 def test_dimension_report():
@@ -133,6 +137,8 @@ def test_dimension_report():
         assert r.proj_dim == n * (n + 3) // 2
         assert r.pluecker_linear_dim == n * (n - 1) // 2
         assert r.pluecker_ambient_dim == (n - 2) * (n + 1) // 2
+    with pytest.raises(ValueError, match="n >= 2"):
+        dimension_report(1)
 
 
 def test_formula_helpers():
@@ -143,6 +149,9 @@ def test_formula_helpers():
     assert (deg, total, div) == (2, 20, True)
     for n in range(2, 60):
         assert cover_degree_bound(n)[2] is True
+    for helper in (catalan_degree, zero_locus_length, cover_degree_bound):
+        with pytest.raises(ValueError, match="n >= 2"):
+            helper(1)
 
 
 def test_bir_finiteness_walks_a_period_past_the_pell_limit():
