@@ -363,11 +363,10 @@ def cmd_lemmas(args) -> int:
         return EXIT_ERROR
     surprises = []
     spherical_rows = []
-    for i in range(-1, mukai.r_max(ctx) + 1):
-        vi = mukai.v_i(ctx, i)
-        vi_sq = mukai.mukai_pairing(ctx, vi, vi)
-        if vi_sq <= 0:
-            continue
+    # (v^(i))^2 = 2n - 2(i+1)(i+2) - 2 is positive, and the window of v^(i)
+    # nonempty, exactly when (2i+3)^2 <= 4n-7
+    i_top = (math.isqrt(4 * n - 7) - 3) // 2
+    for i in range(-1, i_top + 1):
         got = mukai.spherical_search(ctx, i, bound)
         expected = mukai.expected_spherical_window(ctx, i, bound)
         spherical_rows.append((i, got))

@@ -8,7 +8,6 @@ both in one process); everything else is exact, zero tolerance.
 
 import json
 import math
-import os
 import random
 import subprocess
 import sys
@@ -19,12 +18,9 @@ from k3invol import hilbcone, kernel, lattice, mukai, sigma
 from k3invol.cli import main as cli_main
 from k3invol.mukai import MukaiContext, MukaiVector, mukai_pairing
 from k3invol.pell import fundamental_solution, isqrt, minimal_solution_mixed
+from child import child_env
+from kernel_reference import y_scan
 from lattice_reference import bb_form, l5_vector
-from pell_reference import (
-    GeneralizedPellProblem,
-    solutions_bounded,
-    solutions_bounded_oracle,
-)
 
 
 def _report(num, text):
@@ -241,30 +237,39 @@ def test_11_dimension_cross_checks(capsys):
 
 
 def test_12_oracle_equivalence(capsys):
+    # generalized t: t = 4n-3 has only the middle wall, other t have walls
+    # below the middle, including t < 4(n-1) where X > tY no longer implies
+    # the interior bound Y^2 < 4A, and walls of the top rho, which the
+    # appendix case list drops
     rng = random.Random(13)
-    count = 0
-    while count < 500:
-        d = rng.randint(2, 10**6)
-        if isqrt(d)[1]:
-            continue
-        modulus = rng.randint(1, 500)
-        x_bound = rng.randint(100, 2000) if count % 10 else rng.randint(5000, 10**4)
-        prob = GeneralizedPellProblem(
-            D=d,
-            N=rng.randint(-10**4, 10**4),
-            modulus=modulus,
-            residue=rng.randrange(modulus),
-            x_bound=x_bound,
-        )
-        assert solutions_bounded(prob) == solutions_bounded_oracle(prob, False)
-        count += 1
+    below_middle = 0
+    for _ in range(500):
+        n = rng.randint(3, 49)
+        t = rng.randint(n - 1, 4 * n + n // 4)
+        got = kernel._lower_half(n, t)
+        assert len(set(got)) == len(got), (n, t)
+        ref = y_scan(n, True, False, t)
+        assert sorted(got) == sorted(s for s in ref if s[2] >= t * s[3]), (n, t)
+        below = sorted(s for s in got if s[2] > t * s[3])
+        assert below == sorted(s for s in ref if s[2] > t * s[3]), (n, t)
+        below_middle += len(below)
+        # no solution of any t >= n-1 passes the historical y-scan.  X = alpha
+        # forces rho = tY^2, above the cut, as in the proof in the hilbcone
+        # module docstring; that proof excludes X = 2(n-1) - alpha by
+        # X >= t > 2(n-1), which needs t = 4n-3, but for any t >= n-1 that X
+        # forces rho = tY^2 + alpha - (n-1) >= alpha, so A <= alpha(alpha - 4(n-1)) < 0
+        assert y_scan(n, False, True, t) == [], (n, t)
     with capsys.disabled():
-        _report(12, "solutions_bounded == double-loop oracle on 500 randomized problems")
+        _report(
+            12,
+            f"kernel lower half == y-scan oracle on 500 seeded generalized (n, t), "
+            f"{below_middle} walls strictly below the middle",
+        )
 
 
 def test_13_full_scan_to_1000(capsys):
     # scans run in one process; a leftover JOBS in the environment is ignored
-    env = dict(os.environ, JOBS="8")
+    env = child_env(JOBS="8")
     t0 = time.perf_counter()
     proc = subprocess.run(
         [

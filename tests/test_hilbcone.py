@@ -10,8 +10,8 @@ from k3invol import kernel
 from k3invol.cli import main as cli_main
 from k3invol.hilbcone import WallRecord, enumerate_walls, middle_wall, scan_rows
 from k3invol.mukai import MukaiVector
+from kernel_reference import case_pairs
 from lattice_reference import bb_form
-from pell_reference import GeneralizedPellProblem, case_pairs, solutions_bounded
 
 
 def test_bb_form_examples():
@@ -372,32 +372,3 @@ def test_appendix_modes_agree_on_injected_walls(monkeypatch, capsys):
         code = cli_main([*scan, "--mode", mode])
         assert json.loads(capsys.readouterr().out)["rows"][0]["C_n"] == c_n, mode
         assert code == (0 if mode == "appendix" else 2), mode
-
-
-def test_kernel_matches_pell_reference():
-    """The scan kernel must agree, case by case, with the pure reference
-    solver plus the exact interior-slope predicate."""
-    for n in range(2, 41):
-        t = 4 * n - 3
-        m = 2 * (n - 1)
-        sols = kernel.interior_walls(n)
-        for rho, alpha in case_pairs(n, False):
-            a_val = alpha * alpha - 4 * rho * (n - 1)
-            got = [(x, y) for r, a, x, y in sols if (r, a) == (rho, alpha)]
-            if a_val <= 0:
-                assert got == []
-                continue
-            x_bound = math.isqrt((2 * t - 1) ** 2 * a_val)
-            prob = GeneralizedPellProblem(
-                D=4 * t * (n - 1),
-                N=a_val,
-                modulus=m,
-                residue=alpha % m,
-                x_bound=x_bound,
-            )
-            ref = [
-                (x, y)
-                for x, y in solutions_bounded(prob)
-                if (2 * t - 1) * y < 2 * x  # strictly inside the cone
-            ]
-            assert sorted(got) == sorted(ref), (n, rho, alpha)

@@ -1,6 +1,5 @@
 import functools
 import math
-import os
 import random
 import subprocess
 import sys
@@ -21,6 +20,7 @@ from k3invol.mukai import (
     strata_table,
     v_i,
 )
+from child import child_env
 
 
 def _comb(x, v, y, a):
@@ -318,12 +318,9 @@ def test_decompositions_lie_between_zero_and_x0(data):
 def _run_within_timeout(statement):
     """Run ``statement`` in a child with ``sys`` and ``k3invol.mukai`` imported;
     it must exit 0 within 20 s."""
-    env = dict(os.environ)
-    src = os.path.dirname(os.path.dirname(os.path.abspath(mukai.__file__)))
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     code = "import sys; from k3invol import mukai; " + statement
     proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=20
+        [sys.executable, "-c", code], env=child_env(), capture_output=True, text=True, timeout=20
     )
     assert proc.returncode == 0, proc.stderr
 

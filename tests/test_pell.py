@@ -1,5 +1,4 @@
 import math
-import os
 import random
 import subprocess
 import sys
@@ -19,12 +18,7 @@ from k3invol.pell import (
     negative_pell_minimal,
     smallest_prime_factor_3_mod_4,
 )
-from pell_reference import (
-    GeneralizedPellProblem,
-    minimal_solution_mixed_bounded,
-    solutions_bounded,
-    solutions_bounded_oracle,
-)
+from child import child_env
 
 
 # ---------------------------------------------------------------- oracles
@@ -96,27 +90,6 @@ def test_fundamental_agrees_with_brute_force():
             assert fund == brute
 
 
-def fundamental_two_periods(d):
-    """The fundamental solution by the two-period walk: the first convergent
-    whose norm is +1, one period on when the period is even and two when
-    it is odd.  Kept as the oracle of the one-period walk that squares."""
-    for p, q, norm in pell._sqrt_cf_convergents(d):
-        if norm == 1:
-            return PellSolution(p, q)
-
-
-def test_fundamental_matches_two_period_oracle():
-    # below 3*10^4 every period is far under MAX_PERIOD; odd periods are
-    # where squaring the closing convergent replaces walking a second one
-    odd = 0
-    for d in range(2, 3 * 10**4):
-        if isqrt(d)[1]:
-            continue
-        assert fundamental_solution(d) == fundamental_two_periods(d), d
-        odd += negative_pell_minimal(d) is not None
-    assert odd > 1000
-
-
 def test_fundamental_rejects_bad_input():
     with pytest.raises(ValueError):
         fundamental_solution(0)
@@ -161,33 +134,6 @@ def test_negative_pell_properties():
             assert brute is None
 
 
-def negative_pell_every_convergent(d):
-    """Minimal solution of x^2 - d*y^2 = -1, or None: every convergent of
-    the first period of sqrt(d) is tested, with no divisibility shortcut.
-    Every positive solution is a convergent (Legendre), and the later
-    periods repeat the first one's values of p^2 - d*q^2."""
-    a0 = math.isqrt(d)
-    p_prev, p, q_prev, q = 1, a0, 0, 1
-    m, den, a = 0, 1, a0
-    while True:
-        if p * p - d * q * q == -1:
-            return PellSolution(p, q)
-        m = a * den - m
-        den = (d - m * m) // den
-        a = (a0 + m) // den
-        if a == 2 * a0:
-            return None
-        p_prev, p = p, a * p + p_prev
-        q_prev, q = q, a * q + q_prev
-
-
-def test_negative_pell_matches_every_convergent_oracle():
-    # the solver tests only the convergent that closes the first period
-    for d in range(2, 30000):
-        if not isqrt(d)[1]:
-            assert negative_pell_minimal(d) == negative_pell_every_convergent(d), d
-
-
 @settings(max_examples=300, deadline=None)
 @given(st.integers(2, 10**5).filter(lambda d: not isqrt(d)[1]))
 def test_pell_solvers_are_minimal(d):
@@ -230,9 +176,6 @@ def test_smallest_prime_factor_3_mod_4_matches_factoring(m, limit):
 def test_smallest_prime_factor_3_mod_4_rejects_zero():
     # in a child process with a timeout: a search that spins on m = 0
     # must fail the test, not hang it
-    env = dict(os.environ)
-    src = os.path.dirname(os.path.dirname(os.path.abspath(pell.__file__)))
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     code = (
         "from k3invol.pell import smallest_prime_factor_3_mod_4\n"
         "try:\n"
@@ -242,7 +185,7 @@ def test_smallest_prime_factor_3_mod_4_rejects_zero():
         "raise SystemExit(1)\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=20
+        [sys.executable, "-c", code], env=child_env(), capture_output=True, text=True, timeout=20
     )
     assert proc.returncode == 0, proc.stderr
     # in process too, now that the child showed it returns
@@ -401,7 +344,7 @@ def test_mixed_minimality_brute():
         (2, 1, (2, 3)),
         (13, 1, (180, 649)),
         (61, 1, (226153980, 1766319049)),
-        # minimal x above the old brute force's bound 10^5
+        # minimal x above 10^5
         (2, 107, (416941, 57003)),
         # pq = 16 is a square: 2(x - 2y)(x + 2y) = -1
         (2, 8, None),
@@ -409,114 +352,3 @@ def test_mixed_minimality_brute():
 )
 def test_mixed_pinned_pairs(p, q, expected):
     assert minimal_solution_mixed(p, q) == expected
-
-
-def test_mixed_matches_the_bounded_brute_force():
-    # wherever the brute force finds x <= 10^5, for 1 <= p, q < 80.  A pair
-    # with no root of p*x^2 == -1 (mod q) or of q*y^2 == 1 (mod p) has no
-    # solution at all, so the brute force, which would scan 10^5 values of
-    # x for it, must find nothing and is skipped
-    bounded = 0
-    for p in range(1, 80):
-        for q in range(1, 80):
-            sol = minimal_solution_mixed(p, q)
-            if not any((p * x * x + 1) % q == 0 for x in range(q)) or not any(
-                (q * y * y - 1) % p == 0 for y in range(p)
-            ):
-                assert sol is None, (p, q)
-                continue
-            brute = minimal_solution_mixed_bounded(p, q)
-            if brute is None:
-                assert sol is None or sol.x > 10**5, (p, q, sol)
-            else:
-                assert sol == brute, (p, q, sol, brute)
-                bounded += 1
-    assert bounded > 500
-
-
-def test_problem_validation():
-    with pytest.raises(ValueError):
-        GeneralizedPellProblem(D=49, N=1, modulus=4, residue=1, x_bound=10)
-    with pytest.raises(ValueError):
-        GeneralizedPellProblem(D=-3, N=1, modulus=4, residue=1, x_bound=10)
-    with pytest.raises(ValueError):
-        GeneralizedPellProblem(D=72, N=1, modulus=4, residue=7, x_bound=10)
-    with pytest.raises(ValueError):
-        GeneralizedPellProblem(D=72, N=1, modulus=4, residue=1, x_bound=0)
-
-
-def test_solutions_bounded_middle_wall_case():
-    # n = 3, (rho, alpha) = (-1, 1): the only solution up to X = 9 is (9, 1)
-    prob = GeneralizedPellProblem(D=72, N=9, modulus=4, residue=1, x_bound=9)
-    assert solutions_bounded(prob) == [(9, 1)]
-
-
-def test_solutions_bounded_locally_impossible_case():
-    # n = 3, (rho, alpha) = (-1, 2): X even gives x'^2 - 18Y^2 = 3, which is
-    # impossible mod 9; exhaustive scan confirms emptiness
-    prob = GeneralizedPellProblem(D=72, N=12, modulus=4, residue=2, x_bound=200)
-    assert solutions_bounded(prob) == []
-
-
-def test_solutions_bounded_below_smallest_solution():
-    # X^2 = t^2 + D Y^2 > t^2 for Y >= 1, so a bound under t sees nothing
-    for n in (3, 5, 11):
-        t = 4 * n - 3
-        prob = GeneralizedPellProblem(
-            D=4 * t * (n - 1),
-            N=t * t,
-            modulus=2 * (n - 1),
-            residue=t % (2 * (n - 1)),
-            x_bound=t - 1,
-        )
-        assert solutions_bounded(prob) == []
-
-
-def test_oracle_literal_mode_misses_reduced_congruence():
-    # The literal congruence only admits X in {alpha, 2(n-1)-alpha}; the
-    # middle-wall solution X = t = alpha + 2(n-1)*2 is therefore invisible
-    # to it while full mode finds it.
-    prob = GeneralizedPellProblem(D=72, N=9, modulus=4, residue=1, x_bound=9)
-    assert solutions_bounded_oracle(prob, appendix_semantics=True) == []
-    assert solutions_bounded_oracle(prob, appendix_semantics=False) == [(9, 1)]
-
-
-def test_oracle_equivalence_randomized():
-    rng = random.Random(3)
-    for _ in range(150):
-        d = rng.randint(2, 5000)
-        if isqrt(d)[1]:
-            d += 1
-            if isqrt(d)[1]:
-                continue
-        modulus = rng.randint(1, 30)
-        prob = GeneralizedPellProblem(
-            D=d,
-            N=rng.randint(-400, 400),
-            modulus=modulus,
-            residue=rng.randrange(modulus),
-            x_bound=rng.randint(1, 800),
-        )
-        assert solutions_bounded(prob) == solutions_bounded_oracle(prob, False)
-
-
-def test_solutions_are_exact_and_sorted():
-    rng = random.Random(4)
-    for _ in range(100):
-        d = rng.randint(2, 10**5)
-        if isqrt(d)[1]:
-            continue
-        modulus = rng.randint(1, 50)
-        prob = GeneralizedPellProblem(
-            D=d,
-            N=rng.randint(-10**4, 10**4),
-            modulus=modulus,
-            residue=rng.randrange(modulus),
-            x_bound=rng.randint(1, 5000),
-        )
-        sols = solutions_bounded(prob)
-        assert sols == sorted(set(sols))
-        for x, y in sols:
-            assert x * x - d * y * y == prob.N
-            assert y >= 1 and 0 < x <= prob.x_bound
-            assert x % modulus in ((prob.residue) % modulus, (-prob.residue) % modulus)

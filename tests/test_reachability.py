@@ -7,6 +7,11 @@ in ``src/k3invol/*.py`` must be among them, matched by file and first
 line, counting from the first decorator as ``co_firstlineno`` does
 (``co_qualname`` is 3.11-only).  A function that no CLI path runs is
 dead code or a test oracle, and test oracles live in ``tests/``.
+
+The oracles in ``tests/*_reference.py`` are held to the same rule from the
+other side: each top-level ``def`` there must be named by a test module,
+or by another such ``def`` that one names.  An oracle no test compares
+against is deleted, not kept.
 """
 
 import ast
@@ -16,6 +21,7 @@ import subprocess
 import sys
 
 import k3invol
+from child import child_env
 
 PACKAGE = os.path.dirname(os.path.realpath(k3invol.__file__))
 
@@ -123,12 +129,9 @@ def package_defs():
 
 
 def test_every_def_is_reached_from_the_cli():
-    env = dict(os.environ)
-    src = os.path.dirname(PACKAGE)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-c", _REPLAY, json.dumps(ARGVS)],
-        env=env,
+        env=child_env(),
         capture_output=True,
         text=True,
         timeout=120,
@@ -137,3 +140,40 @@ def test_every_def_is_reached_from_the_cli():
     reached = {(os.path.realpath(f), line) for f, line in json.loads(proc.stdout)}
     defs = package_defs()
     assert sorted(name for key, name in defs.items() if key not in reached) == []
+
+
+TESTS = os.path.dirname(os.path.abspath(__file__))
+
+
+def names_read(tree):
+    """Every name and attribute name in the code under ``tree``."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+
+
+def test_every_reference_def_is_used_by_a_test():
+    read_by_tests, defs = set(), {}  # defs: name -> names its body reads
+    for name in sorted(os.listdir(TESTS)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(TESTS, name)) as f:
+            tree = ast.parse(f.read())
+        if name.startswith("test_"):
+            read_by_tests |= names_read(tree)
+        elif name.endswith("_reference.py"):
+            defs.update(
+                (node.name, names_read(node))
+                for node in tree.body
+                if isinstance(node, ast.FunctionDef)
+            )
+    assert defs
+    used, todo = set(), [d for d in defs if d in read_by_tests]
+    while todo:
+        d = todo.pop()
+        if d not in used:
+            used.add(d)
+            todo += [e for e in defs if e in defs[d]]
+    assert sorted(set(defs) - used) == []
