@@ -21,9 +21,32 @@ def _strictly_below(sols, t):
     return sorted(s for s in sols if s[2] > t * s[3])
 
 
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_lower_half_matches_oracle_on_generalized_t(data):
+    # t = 4n-3 has only the middle wall; other t have walls below the
+    # middle, including t < 4(n-1) where X > tY no longer implies the
+    # interior bound Y^2 < 4A, and walls of the top rho, which the appendix
+    # case list drops
+    n = data.draw(st.integers(3, 49), label="n")
+    t = data.draw(st.integers(n - 1, 4 * n + n // 4), label="t")
+    got = kernel._lower_half(n, t)
+    assert len(set(got)) == len(got)
+    assert sorted(got) == sorted(
+        s for s in y_scan(n, True, False, t) if s[2] >= t * s[3]
+    )
+    below = _strictly_below(got, t)
+    assert below == _strictly_below(y_scan(n, True, False, t), t)
+    # no solution of any t >= n-1 passes the historical y-scan.  X = alpha
+    # forces rho = tY^2, above the cut, as in the proof in the hilbcone
+    # module docstring; that proof excludes X = 2(n-1) - alpha by
+    # X >= t > 2(n-1), which needs t = 4n-3, but for any t >= n-1 that X
+    # forces rho = tY^2 + alpha - (n-1) >= alpha, so A <= alpha(alpha - 4(n-1)) < 0
+    assert y_scan(n, False, True, t) == []
+
+
 def test_generalized_t_has_walls_below_the_middle():
-    # acceptance criterion 12, the oracle test on generalized t, is not
-    # vacuous: most generalized t have walls
+    # the property test above is not vacuous: most generalized t have walls
     with_walls = sum(
         1
         for n in range(3, 20)
