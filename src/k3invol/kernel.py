@@ -19,9 +19,13 @@ Each solution is a Mukai class a = (k, -Y, s) with a^2 = 2 rho and
 and conversely every such class solves its case in the right congruence
 class.  Because t^2 - 4t(n-1) = t, the ray is on or below the middle wall
 (X >= tY) exactly when A >= tY^2, so Y^2 <= (n-1)(n+3)/t there, about n/4.
-For fixed (Y, k, sign) the conditions rho >= -1, 1 <= alpha <= n-1 and
-X >= tY are linear in s and cut s to one interval; the rest of the case
-list, rho <= floor((n-1)/4) and alpha >= 4 rho + 1, follows from A > 0.
+For fixed (Y, k) the conditions rho >= -1, |s - (n-1)k| <= n-1 and
+X >= tY cut s to one interval, and alpha >= 1 drops its one point
+s = (n-1)k; the rest of the case list, rho <= floor((n-1)/4) and
+alpha >= 4 rho + 1, follows from A > 0.  The two ends of the interval give
+the same alpha = n-1, and s = (n-1)(k-1) at k gives the same tuple,
+X = (n-1)(2k-1), rho = tY^2 - (n-1)k(k-1), as s = (n-1)k' + (n-1) at
+k' = k-1, so the interval starts at (n-1)(k-1) + 1 and lists it once.
 Only O(1) values of k fit each Y, so the lower half costs O(sqrt(n))
 interval computations plus one step per solution.
 
@@ -75,25 +79,20 @@ def _lower_half(n: int, t: int) -> list[tuple[int, int, int, int]]:
         # X >= tY, and Y^2 < 4A  <=>  4X^2 > (4D+1)Y^2 (implied when t = 4n-3)
         x_lo = max(t * y, math.isqrt((4 * d + 1) * y * y) // 2 + 1)
         x_hi = math.isqrt(a_max + d * y * y)
-        # X = 2(n-1)k + sign*alpha with 1 <= alpha <= n-1; k >= 1 because
+        # X = 2(n-1)k +- alpha with 1 <= alpha <= n-1; k >= 1 because
         # k*s = tY^2 - rho > 0 and X = (n-1)k + s > 0
         for k in range(max(1, -(-(x_lo - m) // (2 * m))), (x_hi + m) // (2 * m) + 1):
-            for sign in (1, -1):
-                # alpha = sign*(s - (n-1)k) in [1, n-1]; alpha = n-1 comes
-                # from both signs with the same tuple, so only sign = +1 keeps it
-                if sign == 1:
-                    lo, hi = m * k + 1, m * k + m
-                else:
-                    lo, hi = m * k - m + 1, m * k - 1
-                # X = (n-1)k + s >= x_lo, and rho = tY^2 - k*s >= -1
-                lo = max(lo, x_lo - m * k)
-                hi = min(hi, (ty2 + 1) // k)
-                for s in range(lo, hi + 1):
-                    rho = ty2 - k * s
-                    alpha = sign * (s - m * k)
-                    if rho == 0 and alpha < 3:
-                        continue
-                    out.append((rho, alpha, m * k + s, y))
+            # alpha = |s - (n-1)k| <= n-1, X = (n-1)k + s >= x_lo and
+            # rho = tY^2 - k*s >= -1; s = (n-1)(k-1) is left out, as its tuple
+            # is that of s = (n-1)k at k-1
+            lo = max(m * (k - 1) + 1, x_lo - m * k)
+            hi = min(m * (k + 1), (ty2 + 1) // k)
+            for s in range(lo, hi + 1):
+                rho = ty2 - k * s
+                alpha = abs(s - m * k)
+                if alpha == 0 or rho == 0 and alpha < 3:
+                    continue
+                out.append((rho, alpha, m * k + s, y))
         y += 1
     return out
 

@@ -121,14 +121,16 @@ def test_scan_jobs_below_one_is_an_error(capsys):
 
 
 def test_scan_reports_disagreement_with_witness(capsys, monkeypatch):
-    wall = hilbcone.WallRecord.build(3, -1, 1, 9, 1)
-    fake = [hilbcone.ScanRow(n=3, c_n=2, below_middle=(wall,))]
+    # the below-middle wall that test_hilbcone's inject_full_only_witness adds
+    wall = hilbcone.WallRecord.build(7, 5, 14, 26, 1)
+    assert wall.below_middle
+    fake = [hilbcone.ScanRow(n=7, c_n=2, below_middle=(wall,))]
     monkeypatch.setattr(hilbcone, "scan_rows", lambda *a, **k: fake)
-    code, out, _ = run(capsys, ["scan", "--min-n", "3", "--max-n", "3"])
+    code, out, _ = run(capsys, ["scan", "--min-n", "7", "--max-n", "7"])
     assert code == 2
-    assert "FINDING" in out
-    assert "n=3 rho=-1 alpha=1 X=9 Y=1" in out
-    assert "C_n > 1" in out
+    lines = out.splitlines()
+    assert "FINDING: mode disagreement: n=7 rho=5 alpha=14 X=26 Y=1" in lines
+    assert "FINDING: C_n > 1: n=7 C_n=2" in lines
 
 
 def test_walls_text_and_json(capsys):
