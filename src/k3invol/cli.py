@@ -76,29 +76,23 @@ def _json(obj, indent: str) -> str:
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _emit_json(obj) -> None:
-    print(_json(obj, "\n"))
+def _emit(args, record, text, columns=(), rows=()) -> None:
+    """Print one subcommand's output in ``args.format``: its ``record`` as
+    JSON, the header ``columns`` over ``rows`` as CSV, or the lines that
+    ``text()`` yields.  ``text`` runs only for text, and a generator passed
+    as ``rows`` only for CSV, so no format pays for another's strings."""
+    if args.format == "json":
+        print(_json(record, "\n"))
+    elif args.format == "csv":
+        import csv
 
-
-def _emit_csv(header, rows) -> None:
-    import csv
-
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    w.writerows(rows)
-    sys.stdout.write(buf.getvalue())
-
-
-def _wall_obj(rec) -> dict:
-    return {
-        "rho": rec.rho,
-        "alpha": rec.alpha,
-        "X": str(rec.X),
-        "Y": str(rec.Y),
-        "slope": f"{rec.Y}/{rec.X}",
-        "a_vec": [str(rec.a_vec.r), str(rec.a_vec.c), str(rec.a_vec.s)],
-    }
+        buf = io.StringIO()
+        w = csv.writer(buf, lineterminator="\n")
+        w.writerow(columns)
+        w.writerows(rows)
+        sys.stdout.write(buf.getvalue())
+    else:
+        print(*text(), sep="\n")
 
 
 def _wall_line(rec) -> str:
@@ -133,30 +127,27 @@ def cmd_scan(args) -> int:
             )
         if r.c_n > 1:
             findings.append(f"C_n > 1: n={r.n} C_n={r.c_n}")
+    record = {
+        "mode": args.mode,
+        "rows": [
+            {"n": n, "C_n": c, "beyond_verified": n > VERIFIED_SCAN_MAX} for n, c, _ in rows
+        ],
+        "findings": findings,
+    }
 
-    if args.format == "json":
-        obj = {
-            "mode": args.mode,
-            "rows": [
-                {"n": n, "C_n": c, "beyond_verified": n > VERIFIED_SCAN_MAX}
-                for n, c, _ in rows
-            ],
-            "findings": findings,
-        }
-        _emit_json(obj)
-    elif args.format == "csv":
-        _emit_csv(
-            ["n", "C_n", "beyond_verified"],
-            [(n, c, str(n > VERIFIED_SCAN_MAX).lower()) for n, c, _ in rows],
-        )
+    def text():
+        for n, c, _ in rows:
+            yield f"n={n} C_n={c}" + ("  [extension]" if n > VERIFIED_SCAN_MAX else "")
+        for f in findings:
+            yield f"FINDING: {f}"
+
+    csv_rows = (
+        (r["n"], r["C_n"], str(r["beyond_verified"]).lower()) for r in record["rows"]
+    )
+    _emit(args, record, text, ("n", "C_n", "beyond_verified"), csv_rows)
+    if args.format == "csv":  # a CSV's findings go to stderr, after its rows
         for f in findings:
             print(f"FINDING: {f}", file=sys.stderr)
-    else:
-        for n, c, _ in rows:
-            suffix = "  [extension]" if n > VERIFIED_SCAN_MAX else ""
-            print(f"n={n} C_n={c}{suffix}")
-        for f in findings:
-            print(f"FINDING: {f}")
     return EXIT_FINDING if findings else EXIT_OK
 
 
@@ -169,21 +160,31 @@ def cmd_walls(args) -> int:
     full = args.mode == "full"
     walls = hilbcone.enumerate_walls(args.n, full_congruence=full)
     c_n = sum(1 for w in walls if w.below_middle) + 1
-    if args.format == "json":
-        _emit_json({"n": args.n, "C_n": c_n, "walls": [_wall_obj(w) for w in walls]})
-    elif args.format == "csv":
-        _emit_csv(
-            ["n", "rho", "alpha", "X", "Y", "slope", "a_r", "a_c", "a_s"],
-            [
-                (args.n, o["rho"], o["alpha"], o["X"], o["Y"], o["slope"], *o["a_vec"])
-                for o in map(_wall_obj, walls)
-            ],
-        )
-    else:
-        t = 4 * args.n - 3
-        print(f"n={args.n} t={t} C_n={c_n} interior_walls={len(walls)}")
-        for w in walls:
-            print(_wall_line(w))
+    record = {
+        "n": args.n,
+        "C_n": c_n,
+        "walls": [
+            {
+                "rho": w.rho,
+                "alpha": w.alpha,
+                "X": str(w.X),
+                "Y": str(w.Y),
+                "slope": f"{w.Y}/{w.X}",
+                "a_vec": list(map(str, w.a_vec)),
+            }
+            for w in walls
+        ],
+    }
+
+    def text():
+        yield f"n={args.n} t={4 * args.n - 3} C_n={c_n} interior_walls={len(walls)}"
+        yield from map(_wall_line, walls)
+
+    columns = ("n", "rho", "alpha", "X", "Y", "slope", "a_r", "a_c", "a_s")
+    csv_rows = (
+        (args.n, *(w[c] for c in columns[1:6]), *w["a_vec"]) for w in record["walls"]
+    )
+    _emit(args, record, text, columns, csv_rows)
     if args.verify:
         return _verify_walls(args.n, walls, full, c_n)
     return EXIT_OK
@@ -223,23 +224,20 @@ def cmd_sigma(args) -> int:
     # rational rays are the one finite verdict without a Pell witness
     rational = verdict.status is sigma.BirStatus.FINITE and verdict.witness is None
     report = sigma.dimension_report(n)
-    obj = {
+    record = {
         "n": n,
         "ns_lattice": {
             "L_square": ns.L_square,
             "kappa_square": ns.kappa_square,
             "gram_det": str(ns.gram_det),
-            "kappa_vec": [str(ns.kappa_vec.r), str(ns.kappa_vec.c), str(ns.kappa_vec.s)],
+            "kappa_vec": list(map(str, ns.kappa_vec)),
             "gcd3n": ns.g,
         },
         "positive_cone_rational": rational,
         "bir": {
+            **verdict._asdict(),
             "status": verdict.status.value,
             "witness": list(verdict.witness) if verdict.witness else None,
-            "obstruction": verdict.obstruction,
-            "pell_d": verdict.pell_d,
-            "pell_solvable": verdict.pell_solvable,
-            "w_divisibility": verdict.w_divisibility,
         },
         "dimensions": {
             "h0_full": report.h0_full,
@@ -248,28 +246,14 @@ def cmd_sigma(args) -> int:
             "pluecker_ambient_dim": report.pluecker_ambient_dim,
         },
     }
-    if args.format == "json":
-        _emit_json(obj)
-    elif args.format == "csv":
-        _emit_csv(
-            ["n", "kappa_square", "positive_cone_rational", "bir_status", "witness"],
-            [
-                (
-                    n,
-                    ns.kappa_square,
-                    str(rational).lower(),
-                    verdict.status.value,
-                    f"{verdict.witness.x},{verdict.witness.y}" if verdict.witness else "",
-                )
-            ],
-        )
-    else:
-        print(f"n={n}  NS = <2> + <{ns.kappa_square}>   (gcd(3,n)={ns.g})")
-        print(
+
+    def text():
+        yield f"n={n}  NS = <2> + <{ns.kappa_square}>   (gcd(3,n)={ns.g})"
+        yield (
             f"kappa = ({ns.kappa_vec.r},{ns.kappa_vec.c},{ns.kappa_vec.s})"
             f"  kappa^2 = {ns.kappa_square}"
         )
-        print(f"positive cone rays rational: {rational}")
+        yield f"positive cone rays rational: {rational}"
         line = f"Bir: {verdict.status.value}"
         if verdict.witness:
             line += f"  witness=({verdict.witness.x},{verdict.witness.y})"
@@ -280,12 +264,21 @@ def cmd_sigma(args) -> int:
                 f"  [pell_d={verdict.pell_d} solvable={verdict.pell_solvable}"
                 f" w_div={verdict.w_divisibility}]"
             )
-        print(line)
-        print(
+        yield line
+        yield (
             f"dims: h0={report.h0_full} proj={report.proj_dim}"
             f" pluecker_linear={report.pluecker_linear_dim}"
             f" pluecker_ambient={report.pluecker_ambient_dim}"
         )
+
+    columns = ("n", "kappa_square", "positive_cone_rational", "bir_status", "witness")
+    bir = record["bir"]
+    # a generator: only a CSV run formats the witness, as one cell "x,y"
+    csv_rows = (
+        (n, ns.kappa_square, str(rational).lower(), bir["status"], ",".join(map(str, w)))
+        for w in [bir["witness"] or ()]
+    )
+    _emit(args, record, text, columns, csv_rows)
     if args.verify:
         # ns_sigma checked kappa: integral, of square -2t(n-3)/g^2 (so the
         # discriminant 2 kappa^2 is right) and orthogonal to u and w;
@@ -302,41 +295,24 @@ def cmd_strata(args) -> int:
 
     ctx = mukai.MukaiContext(args.n)
     rows = mukai.strata_table(ctx)
-    if args.format == "json":
-        _emit_json(
-            {
-                "n": args.n,
-                "r_max": mukai.r_max(ctx),
-                "strata": [
-                    {
-                        "k": r.k,
-                        "vector": [str(r.vector.r), str(r.vector.c), str(r.vector.s)],
-                        "moduli_dim": r.moduli_dim,
-                        "codim_in_N": r.codim_in_N,
-                        "fiber_dim": r.fiber_dim,
-                        "dim_Jk": r.dim_Jk,
-                        "hom_rank": r.hom_rank,
-                    }
-                    for r in rows
-                ],
-            }
-        )
-    elif args.format == "csv":
-        _emit_csv(
-            ["n", "k", "moduli_dim", "codim_in_N", "fiber_dim", "dim_Jk", "hom_rank"],
-            [
-                (args.n, r.k, r.moduli_dim, r.codim_in_N, r.fiber_dim, r.dim_Jk, r.hom_rank)
-                for r in rows
-            ],
-        )
-    else:
-        print(f"n={args.n}  r_max={mukai.r_max(ctx)}")
+    record = {
+        "n": args.n,
+        "r_max": mukai.r_max(ctx),
+        "strata": [{**r._asdict(), "vector": list(map(str, r.vector))} for r in rows],
+    }
+
+    def text():
+        yield f"n={args.n}  r_max={record['r_max']}"
         for r in rows:
-            print(
+            yield (
                 f"k={r.k}  v=({r.vector.r},{r.vector.c},{r.vector.s})"
                 f"  moduli_dim={r.moduli_dim}  codim={r.codim_in_N}"
                 f"  fiber={r.fiber_dim}  dim_Jk={r.dim_Jk}  hom={r.hom_rank}"
             )
+
+    columns = ("n", "k", "moduli_dim", "codim_in_N", "fiber_dim", "dim_Jk", "hom_rank")
+    csv_rows = ((args.n, *(s[c] for c in columns[1:])) for s in record["strata"])
+    _emit(args, record, text, columns, csv_rows)
     if args.verify:
         for r in rows:
             if r.moduli_dim != 2 * args.n - 2 * (r.k + 1) * (r.k + 2):
@@ -378,28 +354,26 @@ def cmd_lemmas(args) -> int:
         positive_rows.append((i, len(found)))
         if found:
             surprises.append(f"positive decomposition i={i}: {len(found)} pairs")
-    if args.format == "json":
-        _emit_json(
-            {
-                "n": n,
-                "bound": bound,
-                "spherical": [
-                    {"i": i, "pairs": [list(p) for p in got]} for i, got in spherical_rows
-                ],
-                "positive_decompositions": [
-                    {"i": i, "count": c} for i, c in positive_rows
-                ],
-                "surprises": surprises,
-            }
-        )
-    else:
-        print(f"n={n} bound={bound}")
+    record = {
+        "n": n,
+        "bound": bound,
+        "spherical": [
+            {"i": i, "pairs": [list(p) for p in got]} for i, got in spherical_rows
+        ],
+        "positive_decompositions": [{"i": i, "count": c} for i, c in positive_rows],
+        "surprises": surprises,
+    }
+
+    def text():
+        yield f"n={n} bound={bound}"
         for i, got in spherical_rows:
-            print(f"spherical window i={i}: {got}")
+            yield f"spherical window i={i}: {got}"
         for i, c in positive_rows:
-            print(f"positive decompositions i={i}: {c}")
+            yield f"positive decompositions i={i}: {c}"
         for s in surprises:
-            print(f"FINDING: {s}")
+            yield f"FINDING: {s}"
+
+    _emit(args, record, text)
     return EXIT_FINDING if surprises else EXIT_OK
 
 
@@ -419,16 +393,8 @@ def cmd_pell(args) -> int:
             return EXIT_ERROR
         sol = pell.minimal_solution_mixed(args.p, args.q)
         misplaced = "--d does not apply to --kind mixed" if args.d is not None else ""
-        obj = {
-            "kind": "mixed",
-            "p": args.p,
-            "q": args.q,
-            "solution": [str(sol.x), str(sol.y)] if sol else None,
-        }
-        ok_line = (
-            f"{args.p}*x^2 - {args.q}*y^2 = -1: "
-            + (f"minimal (x,y)=({sol.x},{sol.y})" if sol else "unsolvable")
-        )
+        record = {"kind": "mixed", "p": args.p, "q": args.q}
+        equation = f"{args.p}*x^2 - {args.q}*y^2 = -1"
     else:
         if args.d is None:
             print("pell requires --d for this kind", file=sys.stderr)
@@ -439,28 +405,20 @@ def cmd_pell(args) -> int:
             sol = pell.negative_pell_minimal(args.d, max_period=pell.MAX_PERIOD)
         given = (args.p, args.q, args.bound) != (None, None, None)
         misplaced = "--p, --q and --bound apply only to --kind mixed" if given else ""
-        obj = {
-            "kind": args.kind,
-            "D": args.d,
-            "solution": [str(sol.x), str(sol.y)] if sol else None,
-        }
+        record = {"kind": args.kind, "D": args.d}
         D, rhs = args.d, (1 if args.kind == "fundamental" else -1)
-        ok_line = f"x^2 - {args.d}*y^2 = {rhs}: " + (
-            f"minimal (x,y)=({sol.x},{sol.y})" if sol else "unsolvable"
-        )
+        equation = f"x^2 - {args.d}*y^2 = {rhs}"
     # checked after the solver, so that an input it rejects keeps its error
     if misplaced:
         print(f"pell: {misplaced}", file=sys.stderr)
         return EXIT_ERROR
-    if args.format == "json":
-        _emit_json(obj)
-    elif args.format == "csv":
-        _emit_csv(
-            ["kind", "solution_x", "solution_y"],
-            [(obj["kind"], *(obj["solution"] or ("", "")))],
-        )
-    else:
-        print(ok_line)
+    xy = record["solution"] = [str(sol.x), str(sol.y)] if sol else None
+
+    def text():
+        yield f"{equation}: " + (f"minimal (x,y)=({xy[0]},{xy[1]})" if xy else "unsolvable")
+
+    csv_rows = [(args.kind, *(xy or ("", "")))]
+    _emit(args, record, text, ("kind", "solution_x", "solution_y"), csv_rows)
     if args.verify and sol is not None:
         X, Y = sol
         if args.kind == "mixed":
@@ -486,25 +444,25 @@ def cmd_eichler(args) -> int:
     # isometry, so the output reports both as True
     alpha, fixed_out, kappa = lattice.build_alpha(n)
     disc = lattice.acts_trivially_on_discriminant(alpha)
-    t = 4 * n - 3
-    if args.format == "json":
-        _emit_json(
-            {
-                "n": n,
-                "rank": 23,
-                "fixed_class_image": [str(c) for c in lattice.xi_coords(fixed_out)],
-                "kappa_image": [str(c) for c in lattice.xi_coords(kappa)],
-                "isometry": True,
-                "discriminant_trivial": disc,
-            }
-        )
-    else:
-        print(f"n={n}  period lattice rank 23, l^2 = {-2 * (n - 1)}")
-        print(f"alpha(u + {t}v - 2l) = u + v: True")
-        print(f"alpha(2(n-1)(u + {t}v) - {t}l) = 2(n-1)(u-v) + 4(n-1)v1 - l: True")
+    record = {
+        "n": n,
+        "rank": 23,
+        "fixed_class_image": [str(c) for c in lattice.xi_coords(fixed_out)],
+        "kappa_image": [str(c) for c in lattice.xi_coords(kappa)],
+        "isometry": True,
+        "discriminant_trivial": disc,
+    }
+
+    def text():
+        t = 4 * n - 3
+        yield f"n={n}  period lattice rank 23, l^2 = {-2 * (n - 1)}"
+        yield f"alpha(u + {t}v - 2l) = u + v: True"
+        yield f"alpha(2(n-1)(u + {t}v) - {t}l) = 2(n-1)(u-v) + 4(n-1)v1 - l: True"
         if args.verify:
-            print("gram preserved: True")
-            print(f"acts trivially on discriminant group: {disc}")
+            yield "gram preserved: True"
+            yield f"acts trivially on discriminant group: {disc}"
+
+    _emit(args, record, text)
     if not disc:
         print("verify: FAIL isometry/discriminant", file=sys.stderr)
         return EXIT_ERROR
@@ -522,7 +480,7 @@ def cmd_formulas(args) -> int:
     catalan = sigma.catalan_degree(n)
     length = sigma.zero_locus_length(n)
     deg, total, divides = sigma.cover_degree_bound(n)
-    obj = {
+    record = {
         "n": n,
         "h0_full": str(report.h0_full),
         "proj_dim": str(report.proj_dim),
@@ -534,22 +492,21 @@ def cmd_formulas(args) -> int:
         "section_map_degree": str(total),
         "cover_degree_divides": divides,
     }
-    if args.format == "json":
-        _emit_json(obj)
-    elif args.format == "csv":
-        _emit_csv(sorted(obj), [tuple(obj[k] for k in sorted(obj))])
-    else:
-        print(f"n={n}")
-        print(f"h0(fixed class) = {report.h0_full}  (system is a P^{report.proj_dim})")
-        print(
+
+    def text():
+        yield f"n={n}"
+        yield f"h0(fixed class) = {report.h0_full}  (system is a P^{report.proj_dim})"
+        yield (
             f"skew subsystem quotient dim = {report.pluecker_linear_dim}, "
             f"ambient P^{report.pluecker_ambient_dim}"
         )
-        print(f"zero locus length = {length}")
-        print(f"pencil projection degree (Catalan) = {catalan}")
-        print(
-            f"cover degree {deg} divides section-map degree {total}: {divides}"
-        )
+        yield f"zero locus length = {length}"
+        yield f"pencil projection degree (Catalan) = {catalan}"
+        yield f"cover degree {deg} divides section-map degree {total}: {divides}"
+
+    # unlike scan and sigma, this CSV spells its bool True or False
+    columns = sorted(record)
+    _emit(args, record, text, columns, [[record[k] for k in columns]])
     return EXIT_OK
 
 
@@ -575,12 +532,14 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     sub = parser.add_subparsers(dest="command", required=True)
     subparsers = {}
 
-    def add(name, help, func):
+    def add(name, help, func, n=True):
         p = subparsers[name] = sub.add_parser(name, help=help)
         p.set_defaults(func=func)
+        if n:  # every subcommand but scan and pell takes one n
+            p.add_argument("--n", type=int, required=True)
         return p
 
-    p = add("scan", "chamber counts C_n over a range of n", cmd_scan)
+    p = add("scan", "chamber counts C_n over a range of n", cmd_scan, n=False)
     p.add_argument("--min-n", type=int, required=True)
     p.add_argument("--max-n", type=int, required=True)
     p.add_argument(
@@ -592,23 +551,19 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     _add_common(p, with_mode=True)
 
     p = add("walls", "interior wall records for one n", cmd_walls)
-    p.add_argument("--n", type=int, required=True)
     _add_common(p, with_mode=True, with_verify=True)
 
     p = add("sigma", "NS lattice / finiteness data of the moduli space", cmd_sigma)
-    p.add_argument("--n", type=int, required=True)
     _add_common(p, with_verify=True)
 
     p = add("strata", "indeterminacy-locus stratification table", cmd_strata)
-    p.add_argument("--n", type=int, required=True)
     _add_common(p, with_verify=True)
 
     p = add("lemmas", "brute-force spherical/positive class searches", cmd_lemmas)
-    p.add_argument("--n", type=int, required=True)
     p.add_argument("--bound", type=int, default=50)
     _add_common(p, formats=("text", "json"))
 
-    p = add("pell", "Pell equation solvers", cmd_pell)
+    p = add("pell", "Pell equation solvers", cmd_pell, n=False)
     p.add_argument("--kind", choices=("fundamental", "negative", "mixed"), required=True)
     p.add_argument("--d", type=int, default=None)
     p.add_argument("--p", type=int, default=None)
@@ -622,11 +577,9 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     _add_common(p, with_verify=True)
 
     p = add("eichler", "period-lattice isometry verification", cmd_eichler)
-    p.add_argument("--n", type=int, required=True)
     _add_common(p, with_verify=True, formats=("text", "json"))
 
     p = add("formulas", "dimension and degree formulas for one n", cmd_formulas)
-    p.add_argument("--n", type=int, required=True)
     _add_common(p)
     return parser, subparsers
 

@@ -36,11 +36,10 @@ N_COMMANDS = {  # subcommand: its formats and whether it takes --verify
 
 def _n_family(cmd, ns, modes=(None,)):
     formats, verify = N_COMMANDS[cmd]
-    for n in ns:
-        for fmt, mode, v in itertools.product(formats, modes, (False, True)[: 1 + verify]):
-            yield [cmd, "--n", str(n), "--format", fmt] + (
-                ["--mode", mode] if mode else []
-            ) + (["--verify"] if v else [])
+    flags = ([], ["--verify"]) if verify else ([],)
+    for n, fmt, mode, flag in itertools.product(ns, formats, modes, flags):
+        mode_flag = ["--mode", mode] if mode else []
+        yield [cmd, "--n", str(n), "--format", fmt, *mode_flag, *flag]
 
 
 def walls():
@@ -79,7 +78,8 @@ def pell_mixed():
 
 def pell_d():
     nonsquare = [d for d in range(2, 600) if math.isqrt(d) ** 2 != d]
-    for i, (kind, d) in enumerate(itertools.product(("fundamental", "negative"), nonsquare)):
+    pairs = itertools.product(("fundamental", "negative"), nonsquare)
+    for i, (kind, d) in enumerate(pairs):
         yield ["pell", "--kind", kind, "--d", str(d), "--verify", "--format", FORMATS[i % 3]]
     yield ["pell", "--kind", "negative", "--d", "100460273", "--verify"]
 
@@ -96,7 +96,8 @@ def bad_n():
             yield [cmd, "--n", str(n), "--format", fmt]
     for (lo, hi), fmt in itertools.product(((1, 3), (0, 3), (5, 3), (-4, -2)), FORMATS):
         yield ["scan", "--min-n", str(lo), "--max-n", str(hi), "--format", fmt]
-    for d, kind, fmt in itertools.product((-3, 0, 1, 4, 49), ("fundamental", "negative"), FORMATS):
+    kinds = ("fundamental", "negative")
+    for d, kind, fmt in itertools.product((-3, 0, 1, 4, 49), kinds, FORMATS):
         yield ["pell", "--kind", kind, "--d", str(d), "--format", fmt]
     for (p, q), fmt in itertools.product(((0, 3), (2, 0), (-1, 5), (-2, -3)), FORMATS):
         yield ["pell", "--kind", "mixed", "--p", str(p), "--q", str(q), "--format", fmt]
