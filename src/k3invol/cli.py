@@ -6,36 +6,32 @@ surprising finding (a chamber count above 1, a congruence-mode
 disagreement, or a lemma search returning something unexpected).
 Library modules are imported by the subcommand that uses them.
 
-When argv[0] names a subcommand, main parses argv[1:] with that
-subcommand's parser alone; any other argv (none, -h, an unknown or
-abbreviated name) goes through the full parser, the oracle in the tests.
-JSON is written by _json, whose oracle there is json.dumps(obj,
-sort_keys=True, indent=2).  CPython's limit on the digits of an
-int-to-str conversion is lifted while a subcommand runs.
+Each subcommand's options are declared once, in _COMMANDS.  main parses
+a plain argv from that table: a subcommand, then only its exact long
+options, every required one among them, each but a flag followed by a
+value that does not start with -, converts and is allowed.  Any other
+argv (none, -h, an = form, an abbreviation, a usage error) goes to the
+argparse parser that build_parser makes from the same table, the oracle
+in the tests.  JSON is written by _json, whose
+oracle there is json.dumps(obj, sort_keys=True, indent=2).  CPython's
+limit on the digits of an int-to-str conversion is lifted while a
+subcommand runs.
 """
 
 from __future__ import annotations
 
-import argparse
 import io
 import json
 import math
 import sys
 from functools import cache
-from gettext import gettext
+from types import SimpleNamespace
 
 VERIFIED_SCAN_MAX = 200  # chamber counts at or below this n are the established baseline
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_FINDING = 2
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # usage errors must exit 1, not argparse's 2
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_ERROR)
 
 
 _JSON_SCALARS = {  # by exact type; int.__repr__ as in json
@@ -234,11 +230,11 @@ def cmd_sigma(args) -> int:
             "gcd3n": ns.g,
         },
         "positive_cone_rational": rational,
-        "bir": {
-            **verdict._asdict(),
-            "status": verdict.status.value,
-            "witness": list(verdict.witness) if verdict.witness else None,
-        },
+        "bir": dict(
+            zip(verdict._fields, verdict),
+            status=verdict.status.value,
+            witness=list(verdict.witness) if verdict.witness else None,
+        ),
         "dimensions": {
             "h0_full": report.h0_full,
             "proj_dim": report.proj_dim,
@@ -295,10 +291,11 @@ def cmd_strata(args) -> int:
 
     ctx = mukai.MukaiContext(args.n)
     rows = mukai.strata_table(ctx)
+    fields = mukai.StrataRow._fields
     record = {
         "n": args.n,
         "r_max": mukai.r_max(ctx),
-        "strata": [{**r._asdict(), "vector": list(map(str, r.vector))} for r in rows],
+        "strata": [dict(zip(fields, r), vector=list(map(str, r.vector))) for r in rows],
     }
 
     def text():
@@ -512,91 +509,104 @@ def cmd_formulas(args) -> int:
 
 # ---------------------------------------------------------------- driver
 
+# each subcommand's options as {flag: add_argument keywords}, in -h order
+_N = {"--n": {"type": int, "required": True}}  # every subcommand but scan and pell
+_FORMAT = {"--format": {"choices": ("text", "json", "csv"), "default": "text"}}
+_TEXT_OR_JSON = {"--format": {"choices": ("text", "json"), "default": "text"}}
+_MODE = {"--mode": {"choices": ("appendix", "full"), "default": "full"}}
+_VERIFY = {"--verify": {"action": "store_true"}}
 
-def _add_common(
-    p, with_mode=False, with_verify=False, formats=("text", "json", "csv")
-):
-    p.add_argument("--format", choices=formats, default="text")
-    if with_mode:
-        p.add_argument("--mode", choices=("appendix", "full"), default="full")
-    if with_verify:
-        p.add_argument("--verify", action="store_true")
+_COMMANDS = {  # name: (help, function, options)
+    "scan": ("chamber counts C_n over a range of n", cmd_scan, {
+        "--min-n": {"type": int, "required": True},
+        "--max-n": {"type": int, "required": True},
+        "--jobs": {"type": int, "default": 1,
+                   "help": "accepted for old scripts; scans run in one process"},
+        **_FORMAT, **_MODE}),
+    "walls": ("interior wall records for one n", cmd_walls,
+              {**_N, **_FORMAT, **_MODE, **_VERIFY}),
+    "sigma": ("NS lattice / finiteness data of the moduli space", cmd_sigma,
+              {**_N, **_FORMAT, **_VERIFY}),
+    "strata": ("indeterminacy-locus stratification table", cmd_strata,
+               {**_N, **_FORMAT, **_VERIFY}),
+    "lemmas": ("brute-force spherical/positive class searches", cmd_lemmas,
+               {**_N, "--bound": {"type": int, "default": 50}, **_TEXT_OR_JSON}),
+    "pell": ("Pell equation solvers", cmd_pell, {
+        "--kind": {"choices": ("fundamental", "negative", "mixed"), "required": True},
+        "--d": {"type": int, "default": None},
+        "--p": {"type": int, "default": None},
+        "--q": {"type": int, "default": None},
+        "--bound": {"type": int, "default": None,
+                    "help": "accepted for old scripts; --kind mixed needs no bound"},
+        **_FORMAT, **_VERIFY}),
+    "eichler": ("period-lattice isometry verification", cmd_eichler,
+                {**_N, **_TEXT_OR_JSON, **_VERIFY}),
+    "formulas": ("dimension and degree formulas for one n", cmd_formulas,
+                 {**_N, **_FORMAT}),
+}
 
 
 @cache
-def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
-    """The top-level parser and ``{name: subparser}``, built on first use
-    and then reused."""
+def build_parser():
+    """The top-level argparse parser and ``{name: subparser}``, built from
+    ``_COMMANDS`` on first use and then reused."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):  # usage errors must exit 1, not argparse's 2
+            self.print_usage(sys.stderr)
+            print(f"{self.prog}: error: {message}", file=sys.stderr)
+            raise SystemExit(EXIT_ERROR)
+
     # --help shows the module docstring up to its notes on the fast paths
     parser = _Parser(prog="k3invol", description=__doc__ and __doc__.rsplit("\n\n", 1)[0])
     sub = parser.add_subparsers(dest="command", required=True)
     subparsers = {}
-
-    def add(name, help, func, n=True):
+    for name, (help, func, options) in _COMMANDS.items():
         p = subparsers[name] = sub.add_parser(name, help=help)
         p.set_defaults(func=func)
-        if n:  # every subcommand but scan and pell takes one n
-            p.add_argument("--n", type=int, required=True)
-        return p
-
-    p = add("scan", "chamber counts C_n over a range of n", cmd_scan, n=False)
-    p.add_argument("--min-n", type=int, required=True)
-    p.add_argument("--max-n", type=int, required=True)
-    p.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="accepted for old scripts; scans run in one process",
-    )
-    _add_common(p, with_mode=True)
-
-    p = add("walls", "interior wall records for one n", cmd_walls)
-    _add_common(p, with_mode=True, with_verify=True)
-
-    p = add("sigma", "NS lattice / finiteness data of the moduli space", cmd_sigma)
-    _add_common(p, with_verify=True)
-
-    p = add("strata", "indeterminacy-locus stratification table", cmd_strata)
-    _add_common(p, with_verify=True)
-
-    p = add("lemmas", "brute-force spherical/positive class searches", cmd_lemmas)
-    p.add_argument("--bound", type=int, default=50)
-    _add_common(p, formats=("text", "json"))
-
-    p = add("pell", "Pell equation solvers", cmd_pell, n=False)
-    p.add_argument("--kind", choices=("fundamental", "negative", "mixed"), required=True)
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--p", type=int, default=None)
-    p.add_argument("--q", type=int, default=None)
-    p.add_argument(
-        "--bound",
-        type=int,
-        default=None,
-        help="accepted for old scripts; --kind mixed needs no bound",
-    )
-    _add_common(p, with_verify=True)
-
-    p = add("eichler", "period-lattice isometry verification", cmd_eichler)
-    _add_common(p, with_verify=True, formats=("text", "json"))
-
-    p = add("formulas", "dimension and degree formulas for one n", cmd_formulas)
-    _add_common(p)
+        for flag, kw in options.items():
+            p.add_argument(flag, **kw)
     return parser, subparsers
 
 
-def _parse(argv) -> argparse.Namespace:
-    parser, subparsers = build_parser()
+def _table_parse(argv):
+    """The Namespace of a plain argv, read from ``_COMMANDS``, or None for
+    the full parser to decide (see the module docstring)."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, func, options = _COMMANDS[argv[0]]
+    given = {}
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        kw = options.get(flag)
+        if kw is None:
+            return None
+        if "action" in kw:  # store_true
+            given[flag] = True
+            continue
+        value = next(tokens, "-")  # a missing value is declined as "-"
+        if value.startswith("-"):
+            return None
+        try:
+            value = kw.get("type", str)(value)
+        except ValueError:  # a bad value, or an int past the digit limit
+            return None
+        if "choices" in kw and value not in kw["choices"]:
+            return None
+        given[flag] = value  # a repeat overrides, as in argparse
+    for flag, kw in options.items():
+        if flag not in given:
+            if kw.get("required"):
+                return None
+            given[flag] = kw.get("default", False if "action" in kw else None)
+    dests = {flag[2:].replace("-", "_"): value for flag, value in given.items()}
+    return SimpleNamespace(command=argv[0], func=func, **dests)
+
+
+def _parse(argv):
     argv = sys.argv[1:] if argv is None else list(argv)
-    sub = subparsers.get(argv[0]) if argv else None
-    if sub is None:
-        return parser.parse_args(argv)
-    # the full parser hands all of argv[1:] to this subparser and rejects
-    # what it leaves with the top-level usage
-    args, extras = sub.parse_known_args(argv[1:])
-    if extras:
-        parser.error(gettext("unrecognized arguments: %s") % " ".join(extras))
-    args.command = argv[0]
-    return args
+    return _table_parse(argv) or build_parser()[0].parse_args(argv)
 
 
 def main(argv=None) -> int:

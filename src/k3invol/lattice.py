@@ -28,6 +28,8 @@ the three Eichler transvections that alpha is are the test oracles.
 
 from __future__ import annotations
 
+from operator import mul
+
 # the basis e_0..e_4 = u, v, u1, v1, l of L5
 _BASIS = tuple(tuple(int(i == j) for j in range(5)) for i in range(5))
 
@@ -48,16 +50,16 @@ class LatticeMap:
 
     def apply(self, x: tuple) -> tuple:
         """The image of the L5 vector x, as its five coordinates."""
-        return tuple(sum(c * col[i] for c, col in zip(x, self.columns)) for i in range(5))
+        return tuple([sum(map(mul, x, row)) for row in zip(*self.columns)])
 
     def is_isometry(self) -> bool:
         """Whether (M e_i, M e_j) = (e_i, e_j) for every pair i <= j."""
         n, cols = self.n, self.columns
-        return all(
-            _pair(n, cols[i], cols[j]) == _pair(n, _BASIS[i], _BASIS[j])
-            for i in range(5)
-            for j in range(i, 5)
-        )
+        for i in range(5):
+            for j in range(i, 5):
+                if _pair(n, cols[i], cols[j]) != _pair(n, _BASIS[i], _BASIS[j]):
+                    return False
+        return True
 
 
 def xi_coords(x: tuple) -> tuple:

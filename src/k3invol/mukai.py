@@ -118,13 +118,14 @@ def spherical_search(ctx: MukaiContext, i: int, bound: int) -> list[tuple[int, i
     V = 4k - 2 and k = i+2, hence 2i+3 = V/2 and x_max = 1.  At x = 0 and
     x = +-1 the roots y then give only ``expected_spherical_window``.
     """
-    vi = v_i(ctx, i)
+    if i < -1:
+        raise ValueError("i must be at least -1")
     if bound < 0:
         raise ValueError("bound must be at least 0")
-    vi_sq = mukai_pairing(ctx, vi, vi)
+    n, t = ctx.n, ctx.t
+    vi_sq = 2 * n - 2 * (i + 1) * (i + 2) - 2  # the square of v_i(ctx, i)
     if vi_sq <= 0:
         raise ValueError("spherical window is empty or vacuous unless (v^(i))^2 > 0")
-    n, t = ctx.n, ctx.t
     m_max = math.isqrt((vi_sq * vi_sq + 8 * vi_sq) // (4 * t))
     x_max = min(bound, (vi_sq // 2 + (2 * i + 3) * m_max) // vi_sq)
     out = []
@@ -229,7 +230,8 @@ def _decompositions(n: int, x0: int, y0: int, bound: int) -> list[tuple[int, int
         r2 = math.isqrt(t * (x0 - x) ** 2)  # w2^2 >= 0:  |2y - (x - q)| <= r2
         lo = max(-bound, -((r1 - x) // 2), -((r2 - x + q) // 2), -((p * x - 1) // q))
         hi = min(bound, (x + r1) // 2, (x - q + r2) // 2, (top - p * x) // q)
-        out.extend((x, y) for y in range(lo, hi + 1))
+        if lo <= hi:  # most x hold no pair
+            out += [(x, y) for y in range(lo, hi + 1)]
     return out
 
 
@@ -246,15 +248,8 @@ def strata_table(ctx: MukaiContext) -> list[StrataRow]:
         vk = v_i(ctx, k)
         moduli_dim = mukai_pairing(ctx, vk, vk) + 2
         fiber = (k + 1) * (k + 2)
+        # k, vector, moduli_dim, codim_in_N, fiber_dim, dim_Jk, hom_rank
         rows.append(
-            StrataRow(
-                k=k,
-                vector=vk,
-                moduli_dim=moduli_dim,
-                codim_in_N=2 * fiber,
-                fiber_dim=fiber,
-                dim_Jk=2 * ctx.n - fiber,
-                hom_rank=2 * k + 3,
-            )
+            StrataRow(k, vk, moduli_dim, 2 * fiber, fiber, 2 * ctx.n - fiber, 2 * k + 3)
         )
     return rows

@@ -1,6 +1,8 @@
 import ast
 import contextlib
 import csv
+import hashlib
+import io
 import json
 import math
 import subprocess
@@ -342,6 +344,18 @@ def test_cli_loads_only_the_subcommands_modules():
     # eichler, sigma and formulas load their modules but no dataclasses
     assert {"k3invol.lattice", "k3invol.pell", "k3invol.sigma"} <= set(after_all)
     assert {"dataclasses", "inspect"}.isdisjoint(after_all)
+    # plain argvs are parsed from the option table; only -h and errors need argparse
+    assert {"argparse", "gettext"}.isdisjoint(after_all)
+    code = (
+        "import sys; import k3invol.cli as cli\n"
+        "try:\n    cli.main(['sigma', '-h'])\nexcept SystemExit as exc:\n    rc = exc.code\n"
+        "sys.stderr.write(repr((rc, 'argparse' in sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=child_env(), capture_output=True, text=True
+    )
+    assert ast.literal_eval(proc.stderr) == (0, True)
+    assert proc.stdout.startswith("usage: k3invol sigma [-h]")
 
 
 def test_pell_command(capsys):
@@ -614,15 +628,20 @@ def test_lemmas_and_eichler_reject_csv(capsys):
 
 
 def test_parser_built_once(capsys, monkeypatch):
+    import argparse
+
     built = []
+    init = argparse.ArgumentParser.__init__
 
-    class CountingParser(cli._Parser):
-        def __init__(self, *args, **kwargs):
-            built.append(kwargs.get("prog"))  # subcommand parsers count too
-            super().__init__(*args, **kwargs)
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))  # subcommand parsers count too
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "_Parser", CountingParser)
-    for argv in (["formulas", "--n", "5"], ["sigma", "--n", "7"], ["formulas", "--n", "6"]):
+    # build_parser's parsers subclass ArgumentParser inside it
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    # = forms, which the option table declines, so each call reaches build_parser
+    for argv in (["formulas", "--n=5"], ["sigma", "--n=7"], ["formulas", "--n=6"]):
+        assert cli._table_parse(argv) is None
         assert main(argv) == 0
     capsys.readouterr()
     assert built.count("k3invol") <= 1
@@ -746,6 +765,15 @@ DISPATCH_CORPUS = [
     ["formulas", "--n", "5"],
     ["formulas", "-n", "5"],
     ["formulas", "--n", "5", "formulas"],
+    ["walls", "--n", "5", "--format", "json", "--format", "csv"],
+    ["sigma", "--n", "7", "--verify", "--verify"],
+    ["walls", "--n", "-5"],
+    ["scan", "--min-n", "-3", "--max-n", "3"],
+    ["walls", "--n", "5", "--verify=1"],
+    ["walls", "--n", "5", "--format"],
+    ["walls", "--n", ""],
+    ["walls", "--n", "5", "--mode", "--format", "json"],
+    ["lemmas", "--n", "6", "--bound", "1_000"],
 ]
 
 
@@ -761,7 +789,7 @@ def _outcome(capsys, argv):
 def test_dispatch_matches_the_full_parser(capsys, monkeypatch):
     got = [_outcome(capsys, argv) for argv in DISPATCH_CORPUS]
     parser, _ = cli.build_parser()
-    monkeypatch.setattr(cli, "build_parser", lambda: (parser, {}))  # every argv parsed in full
+    monkeypatch.setattr(cli, "_table_parse", lambda argv: None)  # every argv parsed in full
     expected = [_outcome(capsys, argv) for argv in DISPATCH_CORPUS]
     for argv, g, e in zip(DISPATCH_CORPUS, got, expected):
         assert g == e, argv
@@ -770,6 +798,100 @@ def test_dispatch_matches_the_full_parser(capsys, monkeypatch):
     for argv, (code, _, _) in zip(DISPATCH_CORPUS, got):
         if code == 0:
             assert vars(cli._parse(argv)) == vars(parser.parse_args(argv)), argv
+
+
+def _parsed(parse, argv):
+    """(vars of the Namespace, or the SystemExit code; stdout; stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parse(argv))
+        except SystemExit as exc:
+            result = ("SystemExit", exc.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+_JUNK = ["-h", "--help", "--", "-n", "--bogus", "x", "5", "-5", ""]
+_ODD_VALUES = ["-3", "-1_0", "", "x", "1_000", " 7", "5.0", "--n", "json", "full", "mixed"]
+
+
+@st.composite
+def _table_argvs(draw):
+    """A subcommand, then option items in any order: mostly exact options
+    with a value the table accepts, also repeats, odd values, = forms,
+    abbreviations, missing values and junk tokens."""
+    name = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    options = cli._COMMANDS[name][2]
+
+    def item(flag, shape):
+        kw = options[flag]
+        if "action" in kw:
+            value = []
+        elif "choices" in kw:
+            value = [draw(st.sampled_from(kw["choices"]))]
+        else:
+            value = [str(draw(st.integers(-(10**6), 10**6) | st.integers(0, 40)))]
+        if shape == "odd" and value:
+            value = [draw(st.sampled_from(_ODD_VALUES))]
+        if shape == "eq":
+            return [f"{flag}={draw(st.sampled_from(_ODD_VALUES + value))}"]
+        if shape == "abbrev":
+            flag = flag[: draw(st.integers(3, len(flag) - 1))] if len(flag) > 3 else "-"
+        if shape == "bare":
+            return [flag]
+        if shape == "junk":
+            return [draw(st.sampled_from(_JUNK))]
+        return [flag, *value]
+
+    flags = sorted(options)
+    required = [item(f, "plain") for f in flags if options[f].get("required")]
+    shapes = st.sampled_from(["plain"] * 6 + ["odd", "eq", "abbrev", "bare", "junk"])
+    extra = draw(st.lists(st.tuples(st.sampled_from(flags), shapes), max_size=6))
+    items = (required if draw(st.integers(0, 4)) else []) + [item(f, k) for f, k in extra]
+    return [name, *[t for tokens in draw(st.permutations(items)) for t in tokens]]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_table_argvs())
+def test_table_parse_matches_argparse(argv):
+    parser, _ = cli.build_parser()
+    fast, full = _parsed(cli._parse, argv), _parsed(parser.parse_args, argv)
+    assert fast == full
+    assert type(fast[0]) is dict or fast[0] in (("SystemExit", 0), ("SystemExit", 1))
+
+
+# SHA-256 of repr((exit, stdout, stderr)) at 80 columns, written from the
+# argparse-only parser that preceded the option table; argparse words its
+# help differently in other Python minors
+_HELP_DIGESTS = {
+    "3.11": {
+        "-h": "80eb754b56313410a7061cb148acc4b3d4b24a3570888d44fb5e88df1a8e5f40",
+        "scan -h": "3eb473e0601f42825d560f2e57430cad9cecf1dcabc28512759f4b8c7b7d0761",
+        "walls -h": "c9b97c2c9aadd7df792843527d6367a435aadf040ffc5102f7e0eb0864a910a1",
+        "sigma -h": "f940065f376edd3786bb97edaaa2ce745c26c81462033c409748d1a48d50a56b",
+        "strata -h": "82938579e1d0ddf3c7008d756004b16314ede123f6c2bfbc727ebc0cc1cfced2",
+        "lemmas -h": "e0f09986528259dd9e79cf23f3b1a2e999e3e53005a30a537126dfc1ac5c85f2",
+        "pell -h": "b39cabe2fc06a4e8fbb3963ccd76c24abb3396316bd30049e382d5a6c441d9b9",
+        "eichler -h": "34322de0b29015ce4455dc197202242011d3a9e649d30deeef62834b356c02f8",
+        "formulas -h": "4313b283417976c0010a18159b6c4c8e06e0fcc01bee35138813e02545dffb2d",
+        "walls --n x": "576fe6dceb96cd11b54f9bb24a1fa8f8fde8dcd7a0ae343ad2fbad2acb4129f6",
+        "scan --min-n 2": "d4ae9d937a8373ff95ed9af4e627724e518065e145584b4d5e1f696fbda84bbd",
+        "formulas --n 5 --bogus": "f1b6b6618f58e3494cdcef3693d806211c450a75b226d629362f272c196ffeb0",
+    }
+}
+_MINOR = "%d.%d" % sys.version_info[:2]
+
+
+@pytest.mark.skipif(
+    _MINOR not in _HELP_DIGESTS,
+    reason=f"-h and usage-error bytes are pinned for Python 3.11, not {_MINOR}",
+)
+@pytest.mark.parametrize("argv", sorted(_HELP_DIGESTS["3.11"]))
+def test_help_and_usage_errors_keep_their_bytes(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to the terminal's width
+    code, out, err = _outcome(capsys, argv.split())
+    digest = hashlib.sha256(repr((code, out, err)).encode()).hexdigest()
+    assert digest == _HELP_DIGESTS[_MINOR][argv], (code, out, err)
 
 
 def test_dispatch_of_the_process_arguments(capsys, monkeypatch):
