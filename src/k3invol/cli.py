@@ -548,8 +548,8 @@ _COMMANDS = {  # name: (help, function, options)
 
 @cache
 def build_parser():
-    """The top-level argparse parser and ``{name: subparser}``, built from
-    ``_COMMANDS`` on first use and then reused."""
+    """The top-level argparse parser, built from ``_COMMANDS`` on first use
+    and then reused."""
     import argparse
 
     class _Parser(argparse.ArgumentParser):
@@ -561,13 +561,12 @@ def build_parser():
     # --help shows the module docstring up to its notes on the fast paths
     parser = _Parser(prog="k3invol", description=__doc__ and __doc__.rsplit("\n\n", 1)[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    subparsers = {}
     for name, (help, func, options) in _COMMANDS.items():
-        p = subparsers[name] = sub.add_parser(name, help=help)
+        p = sub.add_parser(name, help=help)
         p.set_defaults(func=func)
         for flag, kw in options.items():
             p.add_argument(flag, **kw)
-    return parser, subparsers
+    return parser
 
 
 def _table_parse(argv):
@@ -606,7 +605,7 @@ def _table_parse(argv):
 
 def _parse(argv):
     argv = sys.argv[1:] if argv is None else list(argv)
-    return _table_parse(argv) or build_parser()[0].parse_args(argv)
+    return _table_parse(argv) or build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:

@@ -1,10 +1,14 @@
 """The CLI corpus: families of argvs whose output bytes are pinned by digest.
 
-Each family is a generator of argvs.  ``digests(name)`` runs its argvs
-in-process through ``cli.main`` and returns, for each chunk of 100 argvs,
-the SHA-256 of ``repr((argv, exit code, stdout, stderr))`` of every argv
-in the chunk, in order.  ``corpus_digests.json`` holds the digests of the
-committed CLI, and ``test_corpus.py`` compares against it.
+Each family is a generator of argvs.  Besides one family per subcommand
+and the exit-1 families, ``defaults`` runs each subcommand with only its
+required options, so that every default is pinned, and ``period-limit``
+runs each Pell kind past ``pell.MAX_PERIOD``.  ``digests(name)`` runs a
+family's argvs in-process through ``cli.main`` and returns, for each
+chunk of 100 argvs, the SHA-256 of ``repr((argv, exit code, stdout,
+stderr))`` of every argv in the chunk, in order.  ``corpus_digests.json``
+holds the digests of the committed CLI, and ``test_corpus.py`` compares
+against it.
 
     python tests/corpus.py --write     # rewrite corpus_digests.json
 
@@ -22,15 +26,17 @@ import os
 import sys
 
 DIGESTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "corpus_digests.json")
+if __name__ == "__main__":  # run as a script: import k3invol from this source tree
+    sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(DIGESTS)), "src"))
+
+from k3invol import cli  # noqa: E402
+
 CHUNK = 100
 FORMATS = ("text", "json", "csv")
-N_COMMANDS = {  # subcommand: its formats and whether it takes --verify
-    "walls": (FORMATS, True),
-    "sigma": (FORMATS, True),
-    "strata": (FORMATS, True),
-    "lemmas": (("text", "json"), False),
-    "eichler": (("text", "json"), True),
-    "formulas": (FORMATS, False),
+N_COMMANDS = {  # subcommand that takes --n: its formats and whether it takes --verify
+    name: (options["--format"]["choices"], "--verify" in options)
+    for name, (_, _, options) in cli._COMMANDS.items()
+    if "--n" in options
 }
 
 
@@ -142,17 +148,51 @@ def pell_misplaced():
         yield ["pell", *argv, "--format", fmt, *verify]
 
 
+def defaults():
+    """Each subcommand with only its required options, without --format and
+    with each format it takes, so that the default --format, --mode,
+    --bound, --jobs and --verify are pinned; then a few argvs that set one
+    of them: an appendix scan, an empty n range in each mode, --jobs 0 and
+    a negative lemmas --bound."""
+    required = [
+        *(["scan", "--min-n", lo, "--max-n", hi]
+          for lo, hi in (("2", "4"), ("2", "6"), ("199", "202"), ("200", "201"), ("5", "4"))),
+        *([cmd, "--n", "6"] for cmd in N_COMMANDS),
+        *(["pell", "--kind", kind] for kind in ("fundamental", "negative", "mixed")),
+        ["pell", "--kind", "negative", "--d", "3"],  # pell's operands are required by kind
+        ["pell", "--kind", "mixed", "--p", "2", "--q", "3"],
+    ]
+    for argv in required:
+        yield argv
+        for fmt in cli._COMMANDS[argv[0]][2]["--format"]["choices"]:
+            yield [*argv, "--format", fmt]
+    yield ["scan", "--min-n", "4", "--max-n", "20", "--mode", "appendix"]
+    for mode in ("full", "appendix"):
+        yield ["scan", "--min-n", "5", "--max-n", "4", "--mode", mode]
+    yield ["scan", "--min-n", "2", "--max-n", "3", "--jobs", "0"]
+    yield ["lemmas", "--n", "6", "--bound", "-1"]
+
+
+def period_limit():
+    """Exit 1: a continued-fraction period longer than ``pell.MAX_PERIOD``."""
+    argvs = [
+        ["--kind", "fundamental", "--d", str(10**25 + 3)],
+        ["--kind", "negative", "--d", str(10**25 + 13)],
+        ["--kind", "mixed", "--p", "1", "--q", str(10**25 + 13)],
+    ]
+    for argv, fmt in itertools.product(argvs, FORMATS):
+        yield ["pell", *argv, "--format", fmt]
+
+
 FAMILIES = {
     f.__name__.replace("_", "-"): f
     for f in (walls, sigma, strata, lemmas, eichler, formulas, pell_mixed, pell_d, scan,
-              bad_n, bad_bound, jobs_0, pell_misplaced)
+              bad_n, bad_bound, jobs_0, pell_misplaced, defaults, period_limit)
 }
 
 
 def run(argv):
     """``(argv, exit code, stdout, stderr)`` of one in-process call."""
-    from k3invol import cli
-
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -182,7 +222,6 @@ def load():
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: python tests/corpus.py --write")
-    sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(DIGESTS)), "src"))
     with open(DIGESTS, "w") as f:
         json.dump({name: digests(name) for name in FAMILIES}, f, indent=1, sort_keys=True)
         f.write("\n")

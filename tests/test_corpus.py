@@ -29,8 +29,9 @@ def test_every_subcommand_and_format_has_a_family():
         for argv in family():
             fmt = argv[argv.index("--format") + 1] if "--format" in argv else "text"
             covered.add((argv[0], fmt))
-    wanted = set()
-    for name, sub in cli.build_parser()[1].items():
-        (fmt,) = [a for a in sub._actions if "--format" in a.option_strings]
-        wanted.update((name, f) for f in fmt.choices)
+    wanted = {
+        (name, fmt)
+        for name, (_, _, options) in cli._COMMANDS.items()
+        for fmt in options["--format"]["choices"]
+    }
     assert wanted - covered == set()

@@ -1,12 +1,14 @@
 """Every function in src/k3invol is reached from the command line.
 
-A fixed list of argvs is replayed through ``cli.main`` in a fresh
+The argvs of ``corpus.py`` are replayed through ``cli.main`` in a fresh
 interpreter under ``sys.setprofile``, which records the code object of
-every Python call from the first import of the package on.  Each ``def``
-in ``src/k3invol/*.py`` must be among them, matched by file and first
-line, counting from the first decorator as ``co_firstlineno`` does
-(``co_qualname`` is 3.11-only).  A function that no CLI path runs is
-dead code or a test oracle, and test oracles live in ``tests/``.
+every Python call from the first import of the package on: the first
+chunk of every family, then the four argvs the corpus leaves out because
+argparse writes their output.  Each ``def`` in ``src/k3invol/*.py`` must
+be among them, matched by file and first line, counting from the first
+decorator as ``co_firstlineno`` does (``co_qualname`` is 3.11-only).  A
+function that no CLI path runs is dead code or a test oracle, and test
+oracles live in ``tests/``.
 
 The oracles in ``tests/*_reference.py`` are held to the same rule from the
 other side: each top-level ``def`` there must be named by a test module,
@@ -24,64 +26,13 @@ import k3invol
 from child import child_env
 
 PACKAGE = os.path.dirname(os.path.realpath(k3invol.__file__))
+TESTS = os.path.dirname(os.path.abspath(__file__))
 
-ARGVS = [
-    *(
-        argv + ["--format", fmt]
-        for fmt in ("text", "json", "csv")
-        for mode in ("full", "appendix")
-        for argv in (
-            ["scan", "--min-n", "2", "--max-n", "12", "--mode", mode],
-            *(
-                ["walls", "--n", n, "--mode", mode, *verify]
-                for n in ("2", "5", "50")
-                for verify in ([], ["--verify"])
-            ),
-        )
-    ),
-    *(
-        argv + ["--format", fmt, *verify]
-        for fmt in ("text", "json", "csv")
-        for verify in ([], ["--verify"])
-        for argv in (
-            # n = 4 has a Pell witness, 5 is unknown, 6 infinite, 7 rational
-            *(["sigma", "--n", n] for n in ("4", "5", "6", "7")),
-            ["strata", "--n", "20"],
-            ["pell", "--kind", "fundamental", "--d", "61"],
-            ["pell", "--kind", "fundamental", "--d", "2"],
-            ["pell", "--kind", "negative", "--d", "13"],
-            ["pell", "--kind", "negative", "--d", "3"],
-            ["pell", "--kind", "mixed", "--p", "2", "--q", "3"],
-        )
-    ),
-    *(["formulas", "--n", "10", "--format", fmt] for fmt in ("text", "json", "csv")),
-    *(
-        argv + ["--format", fmt]
-        for fmt in ("text", "json")
-        for argv in (
-            ["lemmas", "--n", "6"],
-            ["lemmas", "--n", "130"],
-            ["eichler", "--n", "2"],
-            ["eichler", "--n", "5", "--verify"],
-        )
-    ),
-    # usage and computation errors
-    ["scan", "--min-n", "5", "--max-n", "4"],
-    ["scan", "--min-n", "2", "--max-n", "3", "--jobs", "0"],
-    ["scan", "--min-n", "2", "--max-n", "3", "--bogus"],
-    ["sigma", "--n", "3"],
-    ["lemmas", "--n", "6", "--bound", "-1"],
-    ["pell", "--kind", "negative"],
-    ["pell", "--kind", "mixed", "--p", "2"],
-    ["pell", "--kind", "mixed", "--p", "2", "--q", "3", "--bound", "0"],
-    ["pell", "--kind", "negative", "--d", str(10**25 + 13)],
-    ["--help"],
-    [],
-    ["bogus"],
-]
+ARGPARSE_ARGVS = [["--help"], [], ["bogus"], ["scan", "--min-n", "2", "--max-n", "3", "--bogus"]]
 
+# the argvs are read in the child: the corpus overflows a command line
 _REPLAY = """
-import contextlib, io, json, sys
+import contextlib, io, itertools, json, sys
 
 reached = set()
 
@@ -92,12 +43,14 @@ def profile(frame, event, arg):
 
 
 sys.setprofile(profile)
-import k3invol.cli
+sys.path.insert(0, sys.argv[1])
+import corpus
 
+argvs = [a for f in corpus.FAMILIES.values() for a in itertools.islice(f(), corpus.CHUNK)]
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-    for argv in json.loads(sys.argv[1]):
+    for argv in argvs + json.loads(sys.argv[2]):
         try:
-            k3invol.cli.main(argv)
+            corpus.cli.main(argv)
         except SystemExit:
             pass
 sys.setprofile(None)
@@ -130,7 +83,7 @@ def package_defs():
 
 def test_every_def_is_reached_from_the_cli():
     proc = subprocess.run(
-        [sys.executable, "-c", _REPLAY, json.dumps(ARGVS)],
+        [sys.executable, "-c", _REPLAY, TESTS, json.dumps(ARGPARSE_ARGVS)],
         env=child_env(),
         capture_output=True,
         text=True,
@@ -140,9 +93,6 @@ def test_every_def_is_reached_from_the_cli():
     reached = {(os.path.realpath(f), line) for f, line in json.loads(proc.stdout)}
     defs = package_defs()
     assert sorted(name for key, name in defs.items() if key not in reached) == []
-
-
-TESTS = os.path.dirname(os.path.abspath(__file__))
 
 
 def names_read(tree):
