@@ -1,7 +1,8 @@
 """The CLI beyond its output bytes, which ``test_corpus.py`` pins: faults
 injected into the library, child interpreters, the option table against
 argparse, argparse's own -h and usage-error bytes, the int-digit limit, a
-timed call, and argvs that no family of ``corpus.py`` holds."""
+timed call, argvs that no family of ``corpus.py`` holds, and plain scan,
+lemmas and pell calls whose readable asserts say what the bytes mean."""
 
 import ast
 import contextlib
@@ -31,10 +32,65 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
+def test_scan_text(capsys):
+    code, out, _ = run(capsys, ["scan", "--min-n", "2", "--max-n", "6"])
+    assert code == 0
+    assert out.splitlines() == [f"n={n} C_n=1" for n in range(2, 7)]
+
+
+def test_scan_appendix_mode(capsys):
+    code, out, _ = run(
+        capsys, ["scan", "--min-n", "4", "--max-n", "20", "--mode", "appendix"]
+    )
+    assert code == 0
+    assert all(line.endswith("C_n=1") for line in out.splitlines())
+
+
+def test_scan_json_roundtrip_and_schema(capsys):
+    code, out, _ = run(
+        capsys, ["scan", "--min-n", "199", "--max-n", "202", "--format", "json"]
+    )
+    assert code == 0
+    obj = json.loads(out)
+    assert json.dumps(obj, sort_keys=True, indent=2) == out.rstrip("\n")
+    assert [r["n"] for r in obj["rows"]] == [199, 200, 201, 202]
+    assert [r["beyond_verified"] for r in obj["rows"]] == [False, False, True, True]
+    assert all(r["C_n"] == 1 for r in obj["rows"])
+    assert obj["findings"] == []
+
+
+def test_scan_extension_label_text(capsys):
+    code, out, _ = run(capsys, ["scan", "--min-n", "200", "--max-n", "201"])
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "n=200 C_n=1"
+    assert lines[1] == "n=201 C_n=1  [extension]"
+
+
+def test_scan_csv(capsys):
+    code, out, _ = run(
+        capsys, ["scan", "--min-n", "2", "--max-n", "4", "--format", "csv"]
+    )
+    assert code == 0
+    assert out.splitlines() == [
+        "n,C_n,beyond_verified",
+        "2,1,false",
+        "3,1,false",
+        "4,1,false",
+    ]
+
+
 def test_scan_byte_identical_across_jobs(capsys):
     _, out1, _ = run(capsys, ["scan", "--min-n", "2", "--max-n", "40", "--jobs", "1"])
     _, out2, _ = run(capsys, ["scan", "--min-n", "2", "--max-n", "40", "--jobs", "3"])
     assert out1 == out2
+
+
+def test_scan_usage_error(capsys):
+    argv = ["scan", "--min-n", "5", "--max-n", "4"]
+    err = "k3invol: error: need 2 <= n_min <= n_max\n"
+    for mode in ([], ["--mode", "full"], ["--mode", "appendix"]):
+        assert run(capsys, [*argv, *mode]) == (1, "", err), mode
 
 
 def test_scan_appendix_never_runs_the_kernel(capsys, monkeypatch):
@@ -63,6 +119,13 @@ def test_scan_appendix_never_runs_the_kernel(capsys, monkeypatch):
     assert (code, err) == (0, "")
     rows = list(csv.reader(out.splitlines()))[1:]
     assert [(r[0], r[1]) for r in rows] == [(str(n), "1") for n in ns]
+
+
+def test_scan_jobs_below_one_is_an_error(capsys):
+    code, out, err = run(capsys, ["scan", "--min-n", "2", "--max-n", "3", "--jobs", "0"])
+    assert code == 1
+    assert out == ""
+    assert err == "k3invol: error: jobs must be at least 1\n"
 
 
 def test_scan_reports_disagreement_with_witness(capsys, monkeypatch):
@@ -116,6 +179,14 @@ def test_lemmas_expected_window_uses_search_box(capsys):
     for argv in (["--n", "12", "--bound", "2"], ["--n", "6", "--bound", "0"]):
         code, out, _ = run(capsys, ["lemmas", *argv])
         assert code == 0 and "FINDING" not in out, (argv, out)
+
+
+def test_lemmas_rejects_negative_bound(capsys):
+    # a negative bound searches an empty box: a vacuous certificate
+    code, out, err = run(capsys, ["lemmas", "--n", "6", "--bound", "-1"])
+    assert code == 1
+    assert out == ""
+    assert "--bound" in err
 
 
 def test_lemmas_runs_without_numpy():
@@ -183,6 +254,19 @@ def test_cli_loads_only_the_subcommands_modules():
     )
     assert ast.literal_eval(proc.stderr) == (0, True)
     assert proc.stdout.startswith("usage: k3invol sigma [-h]")
+
+
+def test_pell_command(capsys):
+    code, out, _ = run(capsys, ["pell", "--kind", "fundamental", "--d", "13", "--verify"])
+    assert code == 0 and "(649,180)" in out
+    code, out, _ = run(capsys, ["pell", "--kind", "negative", "--d", "3"])
+    assert code == 0 and "unsolvable" in out
+    code, out, _ = run(
+        capsys, ["pell", "--kind", "mixed", "--p", "2", "--q", "9", "--verify"]
+    )
+    assert code == 0 and "(2,1)" in out
+    code, _, err = run(capsys, ["pell", "--kind", "mixed"])
+    assert code == 1
 
 
 def test_pell_mixed_rejects_a_bound_below_one(capsys):
