@@ -53,13 +53,14 @@ class LatticeMap:
         return tuple([sum(map(mul, x, row)) for row in zip(*self.columns)])
 
     def is_isometry(self) -> bool:
-        """Whether (M e_i, M e_j) = (e_i, e_j) for every pair i <= j."""
+        """Whether (M e_i, M e_j) = (e_i, e_j) for every pair i <= j.
+
+        Row by row, the upper triangle of L5's Gram matrix in the basis
+        u, v, u1, v1, l is 1 at (u, v) and (u1, v1), -2(n-1) at (l, l),
+        and 0 elsewhere."""
         n, cols = self.n, self.columns
-        for i in range(5):
-            for j in range(i, 5):
-                if _pair(n, cols[i], cols[j]) != _pair(n, _BASIS[i], _BASIS[j]):
-                    return False
-        return True
+        upper = [_pair(n, x, y) for i, x in enumerate(cols) for y in cols[i:]]
+        return upper == [0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, -2 * (n - 1)]
 
 
 def xi_coords(x: tuple) -> tuple:

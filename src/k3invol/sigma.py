@@ -102,7 +102,11 @@ def bir_finiteness(n: int) -> BirVerdict:
     solution is the witness: X*L + Y*kappa is then a spherical class
     cutting a wall).  For n = 3n' the equation is never solvable and the
     group is infinite; the obstruction is the smallest prime p == 3
-    (mod 4) dividing delta.  The remaining cases are honestly unknown.
+    (mod 4) dividing delta.  No other wall can make it finite: 3 | n gives
+    3 | t = 4n - 3, so every class a = (r, c, s) has
+    (a, w) = -2tc - rn - 3s == 0 (mod 3), and no wall of type (ii),
+    a^2 = 0 with (a, w) = 1, or (iii), a^2 = 0 with (a, w) = 2, exists
+    (Bayer-Macri, section 12).  The remaining cases are honestly unknown.
     """
     if n < 4:
         raise ValueError("requires n >= 4")
@@ -187,11 +191,13 @@ def zero_locus_length(n: int) -> int:
 
 
 def cover_degree_bound(n: int) -> tuple[int, int, bool]:
-    """(degree-two cover, binomial(2n, n), divisibility check).
+    """(degree-two cover, binomial(2n, n), whether 2 divides it).
 
     The generically-finite morphism defined by the fixed class has degree
     2, which must divide binomial(2n, n), the degree of the section map
-    it factors.
+    it factors.  It always does, since binomial(2n, n) =
+    2 binomial(2n-1, n-1), so the third entry is True by that identity,
+    not a check that can fail.
     """
     if n < 2:
         raise ValueError("requires n >= 2")

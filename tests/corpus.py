@@ -83,6 +83,9 @@ def pell_mixed():
 
 
 def pell_d():
+    """The fundamental solution of x^2 - D y^2 = 1, e.g. (649,180) at D = 13,
+    and the least solution of x^2 - D y^2 = -1 or "unsolvable", e.g. at
+    D = 3, for each nonsquare D < 600, with --verify's minimality check."""
     nonsquare = [d for d in range(2, 600) if math.isqrt(d) ** 2 != d]
     pairs = itertools.product(("fundamental", "negative"), nonsquare)
     for i, (kind, d) in enumerate(pairs):
@@ -91,6 +94,11 @@ def pell_d():
 
 
 def scan():
+    """C_n = 1 for every n in 2..2000 in both modes: one line "n=N C_n=1" a
+    row, tagged "  [extension]" past ``cli.VERIFIED_SCAN_MAX`` = 200; JSON
+    {"findings": [], "mode", "rows": [{"C_n", "beyond_verified", "n"}]}
+    with sorted keys and an indent of 2; CSV "n,C_n,beyond_verified" with
+    lower-case booleans."""
     for mode, fmt in itertools.product(("full", "appendix"), FORMATS):
         yield ["scan", "--min-n", "2", "--max-n", "2000", "--mode", mode, "--format", fmt]
 
@@ -153,7 +161,9 @@ def defaults():
     with each format it takes, so that the default --format, --mode,
     --bound, --jobs and --verify are pinned; then a few argvs that set one
     of them: an appendix scan, an empty n range in each mode, --jobs 0 and
-    a negative lemmas --bound."""
+    a negative lemmas --bound.  The scans 199..202 and 200..201 straddle
+    ``cli.VERIFIED_SCAN_MAX``; 5..4 exits 1 with "need 2 <= n_min <=
+    n_max"; ``pell --kind K`` without its operands exits 1."""
     required = [
         *(["scan", "--min-n", lo, "--max-n", hi]
           for lo, hi in (("2", "4"), ("2", "6"), ("199", "202"), ("200", "201"), ("5", "4"))),

@@ -1,8 +1,9 @@
 """The CLI beyond its output bytes, which ``test_corpus.py`` pins: faults
 injected into the library, child interpreters, the option table against
 argparse, argparse's own -h and usage-error bytes, the int-digit limit, a
-timed call, argvs that no family of ``corpus.py`` holds, and plain scan,
-lemmas and pell calls whose readable asserts say what the bytes mean."""
+timed call, argvs that no family of ``corpus.py`` holds, and two plain
+scan calls.  The family docstrings of ``corpus.py`` say what its bytes
+mean."""
 
 import ast
 import contextlib
@@ -38,59 +39,10 @@ def test_scan_text(capsys):
     assert out.splitlines() == [f"n={n} C_n=1" for n in range(2, 7)]
 
 
-def test_scan_appendix_mode(capsys):
-    code, out, _ = run(
-        capsys, ["scan", "--min-n", "4", "--max-n", "20", "--mode", "appendix"]
-    )
-    assert code == 0
-    assert all(line.endswith("C_n=1") for line in out.splitlines())
-
-
-def test_scan_json_roundtrip_and_schema(capsys):
-    code, out, _ = run(
-        capsys, ["scan", "--min-n", "199", "--max-n", "202", "--format", "json"]
-    )
-    assert code == 0
-    obj = json.loads(out)
-    assert json.dumps(obj, sort_keys=True, indent=2) == out.rstrip("\n")
-    assert [r["n"] for r in obj["rows"]] == [199, 200, 201, 202]
-    assert [r["beyond_verified"] for r in obj["rows"]] == [False, False, True, True]
-    assert all(r["C_n"] == 1 for r in obj["rows"])
-    assert obj["findings"] == []
-
-
-def test_scan_extension_label_text(capsys):
-    code, out, _ = run(capsys, ["scan", "--min-n", "200", "--max-n", "201"])
-    assert code == 0
-    lines = out.splitlines()
-    assert lines[0] == "n=200 C_n=1"
-    assert lines[1] == "n=201 C_n=1  [extension]"
-
-
-def test_scan_csv(capsys):
-    code, out, _ = run(
-        capsys, ["scan", "--min-n", "2", "--max-n", "4", "--format", "csv"]
-    )
-    assert code == 0
-    assert out.splitlines() == [
-        "n,C_n,beyond_verified",
-        "2,1,false",
-        "3,1,false",
-        "4,1,false",
-    ]
-
-
 def test_scan_byte_identical_across_jobs(capsys):
     _, out1, _ = run(capsys, ["scan", "--min-n", "2", "--max-n", "40", "--jobs", "1"])
     _, out2, _ = run(capsys, ["scan", "--min-n", "2", "--max-n", "40", "--jobs", "3"])
     assert out1 == out2
-
-
-def test_scan_usage_error(capsys):
-    argv = ["scan", "--min-n", "5", "--max-n", "4"]
-    err = "k3invol: error: need 2 <= n_min <= n_max\n"
-    for mode in ([], ["--mode", "full"], ["--mode", "appendix"]):
-        assert run(capsys, [*argv, *mode]) == (1, "", err), mode
 
 
 def test_scan_appendix_never_runs_the_kernel(capsys, monkeypatch):
@@ -181,49 +133,16 @@ def test_lemmas_expected_window_uses_search_box(capsys):
         assert code == 0 and "FINDING" not in out, (argv, out)
 
 
-def test_lemmas_rejects_negative_bound(capsys):
-    # a negative bound searches an empty box: a vacuous certificate
-    code, out, err = run(capsys, ["lemmas", "--n", "6", "--bound", "-1"])
-    assert code == 1
-    assert out == ""
-    assert "--bound" in err
-
-
-def test_lemmas_runs_without_numpy():
-    # the package needs only the standard library: make "import numpy" fail
-    code = (
-        "import sys; sys.modules['numpy'] = None; "
-        "from k3invol.cli import main; "
-        "sys.exit(main(['lemmas', '--n', '12', '--format', 'json']))"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=child_env(), capture_output=True, text=True
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout)["surprises"] == []
-
-
-def test_scan_without_pool_does_not_import_it():
-    for jobs in ("1", "4"):
-        code = (
-            "import sys; from k3invol.cli import main; "
-            f"code = main(['scan', '--min-n', '2', '--max-n', '5', '--jobs', '{jobs}']); "
-            "sys.exit(code or 'concurrent.futures.process' in sys.modules)"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", code], env=child_env(), capture_output=True, text=True
-        )
-        assert proc.returncode == 0, (jobs, proc.stderr)
-        assert proc.stdout.count("C_n=1") == 4
-
-
 def test_cli_loads_only_the_subcommands_modules():
-    # -S: no site hooks, so every module listed was loaded by k3invol
+    # -S: no site hooks, so every module listed was loaded by k3invol, and
+    # no site-packages, so the package runs on the standard library alone
     code = (
         "import sys; import k3invol.cli as cli; after_import = sorted(sys.modules); "
         "rc = cli.main(['scan', '--min-n', '2', '--max-n', '30', '--format', 'json']); "
         "after_scan = sorted(sys.modules); "
         "rcs = [cli.main([cmd, '--n', '5', '--format', 'json']) for cmd in ('eichler', 'sigma', 'formulas')]; "
+        "rcs += [cli.main(['lemmas', '--n', '12', '--format', 'json']), "
+        "cli.main(['scan', '--min-n', '2', '--max-n', '5', '--jobs', '4'])]; "
         "sys.stderr.write(repr((rc, rcs, after_import, after_scan, sorted(sys.modules))))"
     )
     proc = subprocess.run(
@@ -231,8 +150,9 @@ def test_cli_loads_only_the_subcommands_modules():
     )
     assert proc.returncode == 0, proc.stderr
     rc, rcs, after_import, after_scan, after_all = ast.literal_eval(proc.stderr)
-    assert rc == 0 and rcs == [0, 0, 0]
+    assert rc == 0 and rcs == [0, 0, 0, 0, 0]
     assert len(json.JSONDecoder().raw_decode(proc.stdout)[0]["rows"]) == 29
+    assert proc.stdout.endswith("".join(f"n={n} C_n=1\n" for n in range(2, 6)))
     heavy = {"dataclasses", "inspect", "fractions", "decimal", "csv"}
     assert [m for m in after_import if m.startswith("k3invol.")] == ["k3invol.cli"]
     assert heavy.isdisjoint(after_import)
@@ -244,6 +164,8 @@ def test_cli_loads_only_the_subcommands_modules():
     assert {"dataclasses", "inspect"}.isdisjoint(after_all)
     # plain argvs are parsed from the option table; only -h and errors need argparse
     assert {"argparse", "gettext"}.isdisjoint(after_all)
+    # scan --jobs 4 starts no pool, and nothing imports numpy
+    assert {"numpy", "concurrent.futures.process", "multiprocessing"}.isdisjoint(after_all)
     code = (
         "import sys; import k3invol.cli as cli\n"
         "try:\n    cli.main(['sigma', '-h'])\nexcept SystemExit as exc:\n    rc = exc.code\n"
@@ -256,31 +178,10 @@ def test_cli_loads_only_the_subcommands_modules():
     assert proc.stdout.startswith("usage: k3invol sigma [-h]")
 
 
-def test_pell_command(capsys):
-    code, out, _ = run(capsys, ["pell", "--kind", "fundamental", "--d", "13", "--verify"])
-    assert code == 0 and "(649,180)" in out
-    code, out, _ = run(capsys, ["pell", "--kind", "negative", "--d", "3"])
-    assert code == 0 and "unsolvable" in out
-    code, out, _ = run(
-        capsys, ["pell", "--kind", "mixed", "--p", "2", "--q", "9", "--verify"]
-    )
-    assert code == 0 and "(2,1)" in out
-    code, _, err = run(capsys, ["pell", "--kind", "mixed"])
-    assert code == 1
-
-
 def test_pell_mixed_rejects_a_bound_below_one(capsys):
-    # --bound bounds nothing now that the mixed kind is exact, but old
-    # scripts that pass a bound below 1 keep their error and exit code
-    for bound in ("-1", "0"):
-        for fmt in ("text", "json", "csv"):
-            argv = ["pell", "--kind", "mixed", "--p", "2", "--q", "3", "--bound", bound]
-            assert run(capsys, [*argv, "--format", fmt]) == (
-                1,
-                "",
-                f"pell: --bound must be at least 1, got {bound}\n",
-            )
-    # a bound of 1 is accepted, and ignored like any other
+    # the bad-bound family pins the error of a bound below 1; --bound
+    # bounds nothing now that the mixed kind is exact, so 1 is accepted
+    # and ignored like any other
     code, out, _ = run(capsys, ["pell", "--kind", "mixed", "--p", "2", "--q", "3", "--bound", "1"])
     assert (code, out) == (0, "2*x^2 - 3*y^2 = -1: minimal (x,y)=(1,1)\n")
 
@@ -312,11 +213,9 @@ _ONLY_MIXED = "pell: --p, --q and --bound apply only to --kind mixed\n"
 _NOT_MIXED = "pell: --d does not apply to --kind mixed\n"
 MISPLACED_PELL_OPTIONS = [
     (["--kind", "negative", "--d", "13", "--bound", "-5", "--p", "3"], _ONLY_MIXED),
-    (["--kind", "negative", "--d", "13", "--p", "3"], _ONLY_MIXED),
     (["--kind", "fundamental", "--d", "61", "--q", "3", "--verify"], _ONLY_MIXED),
     # the default bound, given explicitly, is still an option of mixed alone
     (["--kind", "fundamental", "--d", "2", "--bound", "100000"], _ONLY_MIXED),
-    (["--kind", "mixed", "--p", "2", "--q", "3", "--d", "5"], _NOT_MIXED),
     (["--kind", "mixed", "--p", "2", "--q", "9", "--d", "5", "--verify"], _NOT_MIXED),
 ]
 
