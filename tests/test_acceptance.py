@@ -7,12 +7,13 @@ both in one process); everything else is exact, zero tolerance.
 """
 
 import json
-import math
 import random
 import subprocess
 import sys
 import time
 from fractions import Fraction
+
+import pytest
 
 from k3invol import hilbcone, kernel, lattice, mukai, sigma
 from k3invol.cli import main as cli_main
@@ -81,6 +82,7 @@ def test_03_middle_wall_everywhere(capsys):
         (w,) = walls
         assert (w.rho, w.alpha, w.X, w.Y) == (-1, 1, t, 1)
         assert Fraction(w.Y, w.X) == Fraction(1, t)
+        assert w.ray == (t, -2 * t) and w.is_middle and not w.below_middle
         assert w.a_vec in (MukaiVector(2, -1, 2 * n - 1), MukaiVector(-2, 1, -(2 * n - 1)))
         ctx = MukaiContext(n)
         assert mukai_pairing(ctx, w.a_vec, w.a_vec) == -2
@@ -171,8 +173,11 @@ def test_08_involution_action(capsys):
     # a*H_n + b*delta is (a, -b/(2t))
     for n in range(2, 101):
         t = 4 * n - 3
-        # H_n -> (2t-1)H_n - 4t*delta, and H_n - 2delta is fixed
+        # H_n -> (2t-1)H_n - 4t*delta, delta -> 4(n-1)H_n - (8n-7)delta,
+        # and H_n - 2delta is fixed
         assert kernel.mirror(n, 1, 0) == (2 * t - 1, 2)
+        delta = (0, Fraction(-1, 2 * t))
+        assert kernel.mirror(n, *delta) == (4 * (n - 1), Fraction(8 * n - 7, 2 * t))
         assert kernel.mirror(n, 1, Fraction(1, t)) == (1, Fraction(1, t))
     for _ in range(500):
         n = rng.randint(2, 100)
@@ -267,6 +272,7 @@ def test_12_oracle_equivalence(capsys):
         )
 
 
+@pytest.mark.own_time_limit
 def test_13_full_scan_to_1000(capsys):
     # scans run in one process; a leftover JOBS in the environment is ignored
     env = child_env(JOBS="8")

@@ -1,5 +1,4 @@
 import json
-import math
 from fractions import Fraction
 
 import pytest
@@ -9,7 +8,6 @@ from hypothesis import strategies as st
 from k3invol import kernel
 from k3invol.cli import main as cli_main
 from k3invol.hilbcone import WallRecord, enumerate_walls, middle_wall, scan_rows
-from k3invol.mukai import MukaiVector
 from kernel_reference import case_pairs
 from lattice_reference import bb_form
 
@@ -24,33 +22,6 @@ def test_bb_form_examples():
         assert bb_form(n, h, h) == 2 * t
         assert bb_form(n, delta, delta) == -2 * (n - 1)
         assert bb_form(n, h, delta) == 0
-
-
-def test_involution_examples():
-    for n in (2, 3, 4, 17):
-        t = 4 * n - 3
-        assert kernel.mirror(n, 1, 0) == (2 * t - 1, 2)  # H_n
-        assert kernel.mirror(n, 1, Fraction(1, t)) == (1, Fraction(1, t))  # H_n - 2delta
-        delta = (0, Fraction(-1, 2 * t))
-        delta_img = kernel.mirror(n, *delta)
-        # 4(n-1)H_n - (8n-7)delta
-        assert delta_img == (4 * (n - 1), Fraction(8 * n - 7, 2 * t))
-        # applying twice must give back delta
-        assert kernel.mirror(n, *delta_img) == delta
-
-
-_coefficients = st.integers(-(10**12), 10**12)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.integers(2, 10**9), _coefficients, _coefficients, _coefficients, _coefficients)
-def test_involution_is_q_isometry_and_involution(n, a, b, a2, b2):
-    # a*H_n + b*delta is the ray (X, Y) = (a, -b/(2t))
-    t = 4 * n - 3
-    c, d = (a, Fraction(-b, 2 * t)), (a2, Fraction(-b2, 2 * t))
-    fc, fd = kernel.mirror(n, *c), kernel.mirror(n, *d)
-    assert bb_form(n, fc, fd) == bb_form(n, c, d)
-    assert kernel.mirror(n, *fc) == c
 
 
 def test_movable_rays():
@@ -80,17 +51,6 @@ def test_cattaneo_cases_appendix_compat_drops_top_rho():
     assert (2, 9) in case_pairs(10, False)
     assert (2, 9) not in case_pairs(10, True)
     assert (1, 5) in case_pairs(10, True)
-
-
-def test_middle_wall_record():
-    for n in (2, 3, 7, 50, 200):
-        t = 4 * n - 3
-        rec = middle_wall(n)
-        assert (rec.rho, rec.alpha, rec.X, rec.Y) == (-1, 1, t, 1)
-        assert rec.a_vec == MukaiVector(2, -1, 2 * n - 1)
-        assert rec.ray == (t, -2 * t)
-        assert Fraction(rec.Y, rec.X) == Fraction(1, t)
-        assert rec.is_middle and not rec.below_middle
 
 
 def test_wall_record_validation():
@@ -213,35 +173,6 @@ def test_enumerate_walls_small_n():
     assert [(w.rho, w.alpha, w.X, w.Y) for w in walls] == [(-1, 1, 9, 1)]
     walls = enumerate_walls(2)
     assert [(w.X, w.Y) for w in walls] == [(5, 1)]
-
-
-def test_walls_unique_up_to_200():
-    for n in range(2, 201, 7):
-        walls = enumerate_walls(n)
-        assert len(walls) == 1
-        assert walls[0].is_middle
-        assert Fraction(walls[0].Y, walls[0].X) == Fraction(1, 4 * n - 3)
-
-
-def test_wall_invariants_and_involution_stability():
-    for n in range(2, 101, 3):
-        t = 4 * n - 3
-        walls = enumerate_walls(n)
-        rays = {w.primitive_ray() for w in walls}
-        for w in walls:
-            assert w.X * w.X - 4 * t * (n - 1) * w.Y * w.Y == w.alpha**2 - 4 * w.rho * (
-                n - 1
-            )
-            assert w.X % (2 * (n - 1)) in (
-                w.alpha % (2 * (n - 1)),
-                (-w.alpha) % (2 * (n - 1)),
-            )
-            assert 0 < Fraction(w.Y, w.X) < Fraction(2, 2 * t - 1)
-            # mirror ray under the involution stays in the set
-            mx = (2 * t - 1) * w.X - 8 * t * (n - 1) * w.Y
-            my = 2 * w.X - (8 * n - 7) * w.Y
-            g = math.gcd(mx, my)
-            assert (mx // g, my // g) in rays
 
 
 def test_chamber_count_examples():

@@ -188,21 +188,6 @@ def test_transvection_additivity_on_orthogonal_arguments():
         assert lhs == rhs
 
 
-def test_build_alpha_images_and_checks():
-    for n in (2, 3, 5, 11):
-        t, m = 4 * n - 3, 2 * (n - 1)
-        alpha, fixed, kappa = build_alpha(n)  # raises if either image identity fails
-        # alpha(u + tv - 2l) = u + v
-        assert alpha.apply(l5_vector(u=1, v=t, l=-2)) == fixed == l5_vector(u=1, v=1)
-        # alpha(2(n-1)(u + tv) - tl) = 2(n-1)(u - v) + 4(n-1)v1 - l
-        expect = l5_vector(u=m, v=-m, v1=2 * m, l=-1)
-        assert alpha.apply(l5_vector(u=m, v=m * t, l=-t)) == kappa == expect
-        # padded with the 18 zero coordinates of L18, in the order of Xi(n)
-        assert lattice.xi_coords(kappa) == tuple(xi_vector(u=m, v=-m, v1=2 * m, l=-1))
-        assert alpha.is_isometry()
-        assert acts_trivially_on_discriminant(alpha)
-
-
 def alpha_factors(n):
     """The dense transvections t(u1, -v), t(v1, (t-1)v - 2l) and t(u1, v) of
     Xi(n), whose product, in this order, is alpha."""

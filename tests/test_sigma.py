@@ -10,7 +10,6 @@ from k3invol.sigma import (
     bir_finiteness,
     catalan_degree,
     cover_degree_bound,
-    dimension_report,
     h0_sigma,
     ns_sigma,
     zero_locus_length,
@@ -123,22 +122,6 @@ def test_h0_examples():
         h0_sigma(2, 1)
     with pytest.raises(ValueError, match="k must be positive"):
         h0_sigma(5, 0)
-
-
-def test_dimension_report():
-    r3 = dimension_report(3)
-    assert (r3.proj_dim, r3.h0_full) == (9, 10)
-    r6 = dimension_report(6)
-    assert r6.pluecker_linear_dim == 15 == h0_sigma(6, 1)
-    assert dimension_report(4).pluecker_ambient_dim == 5
-    for n in range(3, 301):
-        r = dimension_report(n)
-        assert r.h0_full == (n + 1) * (n + 2) // 2
-        assert r.proj_dim == n * (n + 3) // 2
-        assert r.pluecker_linear_dim == n * (n - 1) // 2
-        assert r.pluecker_ambient_dim == (n - 2) * (n + 1) // 2
-    with pytest.raises(ValueError, match="n >= 2"):
-        dimension_report(1)
 
 
 def test_formula_helpers():
