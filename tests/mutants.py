@@ -15,25 +15,30 @@ The runner copies src/, tests/ and pyproject.toml to a temporary
 directory, applies one mutant there and runs pytest on the copy with
 ``--hypothesis-seed=0``, so that every kill repeats.  Mutants run on one
 worker thread per CPU, each in its own copy and child interpreter, and
-are reported in registry order.  A test kills a mutant only when it
-fails on an assertion: an ``AssertionError``, a ``pytest.fail`` or a
-``pytest.raises`` that saw no exception, never by running past
-conftest's per-test time limit.  A mutant that does not compile or
-import is reported as broken, never as killed.
-Without ``--matrix`` every named test must kill its mutant, and the
-named tests must pass on the unmutated copy.  ``--matrix`` runs the whole
-tier-1 for each mutant and prints, as JSON, the tests that kill it; a
-test may be deleted only when every mutant it kills is also killed by a
-remaining test named for the same reason (test-suite minimisation, Yoo
-and Harman, STVR 2012).
+are reported in registry order.  Each child runs in a session of its
+own: on SIGINT or SIGTERM the runner kills the children's process
+groups, cancels the mutants not yet started and removes every copy.  A
+test kills a mutant only when it fails on an assertion: an
+``AssertionError``, a ``pytest.fail`` or a ``pytest.raises`` that saw no
+exception, never by running past conftest's per-test time limit.  A
+mutant that does not compile or import is reported as broken, never as
+killed.  Without ``--matrix`` every named test must kill its mutant, the
+named tests must pass on the unmutated copy, and an entry that names no
+test is an error.  ``--matrix`` runs the whole tier-1 for each mutant
+and prints, as JSON, the tests that kill it; a test may be deleted only
+when every mutant it kills is also killed by a remaining test named for
+the same reason (test-suite minimisation, Yoo and Harman, STVR 2012).
 """
 
+import contextlib
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple
 
@@ -475,6 +480,37 @@ def _pytest_child(out, args):
     return code
 
 
+_LIVE = set()  # the running children, each the leader of its own process group
+_LOCK = threading.Lock()
+_STOPPING = threading.Event()
+
+
+def _child(cmd, **kwargs):
+    """``subprocess.run(cmd, **kwargs)`` in a session of its own, so that
+    ``_stop_children`` kills the child together with all it started."""
+    with _LOCK:
+        if _STOPPING.is_set():
+            raise RuntimeError("the runner is stopping")
+        proc = subprocess.Popen(cmd, start_new_session=True, **kwargs)
+        _LIVE.add(proc)
+    try:
+        _, err = proc.communicate()
+    finally:
+        with _LOCK:
+            _LIVE.discard(proc)
+    return subprocess.CompletedProcess(cmd, proc.returncode, None, err)
+
+
+def _stop_children():
+    """Kill the process group of every running child and start no more."""
+    with _LOCK:
+        _STOPPING.set()
+        for proc in _LIVE:
+            if proc.returncode is None:
+                with contextlib.suppress(ProcessLookupError):
+                    os.killpg(proc.pid, signal.SIGKILL)
+
+
 def _copy_tree(dest):
     ignore = shutil.ignore_patterns("__pycache__", "*.egg-info", ".hypothesis")
     for name in ("src", "tests"):
@@ -497,8 +533,8 @@ def _apply(dest, mutant):
     except SyntaxError as exc:
         return f"does not compile: {exc}"
     module = "k3invol." + mutant.path[:-3]
-    proc = subprocess.run([sys.executable, "-c", f"import {module}"], env=_env(dest),
-                          capture_output=True, text=True)
+    proc = _child([sys.executable, "-c", f"import {module}"], env=_env(dest),
+                  stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
     if proc.returncode:
         return f"does not import: {proc.stderr.strip().splitlines()[-1]}"
     return None
@@ -518,8 +554,8 @@ def _run_tests(dest, args):
         "import sys; sys.path.insert(0, sys.argv[1]); import mutants; del sys.path[0]; "
         "sys.exit(mutants._pytest_child(sys.argv[2], sys.argv[3:]))"
     )
-    subprocess.run([sys.executable, "-c", code, TESTS, out, *args], cwd=dest, env=_env(dest),
-                   stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    _child([sys.executable, "-c", code, TESTS, out, *args], cwd=dest, env=_env(dest),
+           stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     with open(out) as f:
         return json.load(f)
 
@@ -535,24 +571,41 @@ def _outcomes(mutant, args):
 def _each(mutants, args):
     """(mutant, broken, outcomes) for each mutant, in registry order, run
     on one worker thread per CPU: each mutant has its own copy and child
-    interpreter.  ``args(m)`` gives the pytest arguments of mutant ``m``."""
+    interpreter.  ``args(m)`` gives the pytest arguments of mutant ``m``.
+    If the caller is interrupted, the queued mutants are cancelled and the
+    running children killed, so that each copy is removed."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    with ThreadPoolExecutor(cpus) as pool:
-        for m, (broken, seen) in zip(mutants, pool.map(lambda m: _outcomes(m, args(m)), mutants)):
-            yield m, broken, seen
+    pool = ThreadPoolExecutor(cpus)
+    try:
+        futures = [pool.submit(_outcomes, m, args(m)) for m in mutants]
+        for m, future in zip(mutants, futures):
+            yield m, *future.result()
+    except BaseException:
+        _stop_children()
+        raise
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def check(mutants):
     """Each mutant against its named tests; True when every one is killed
-    and the named tests pass on the unmutated tree."""
+    and the named tests pass on the unmutated tree.  An entry that names
+    no test is an error, found before any tree is copied: with no test to
+    miss the mutant, it would read as killed."""
+    empty = [m.name for m in mutants if not m.tests]
+    for name in empty:
+        print(f"ERROR {name}: names no test")
+    if empty:
+        return False
     named = sorted({t for m in mutants for t in m.tests})
-    _, clean = _outcomes(None, named)
     ok = True
-    failing = [t for t in named if clean.get(t) != "pass"]
-    if failing:
-        ok = False
-        print(f"CLEAN TREE: not passing: {failing}")
-    for m, broken, seen in _each(mutants, lambda m: m.tests):
+    for m, broken, seen in _each([None, *mutants], lambda m: m.tests if m else named):
+        if m is None:
+            failing = [t for t in named if seen.get(t) != "pass"]
+            if failing:
+                ok = False
+                print(f"CLEAN TREE: not passing: {failing}")
+            continue
         missed = {t: seen.get(t, "not run") for t in m.tests if seen.get(t) != "kill"}
         if broken or missed:
             ok = False
@@ -577,7 +630,17 @@ def matrix(mutants):
     return result
 
 
+class _Interrupted(BaseException):
+    """The runner got the signal ``args[0]``."""
+
+
+def _interrupt(signum, frame):
+    raise _Interrupted(signum)
+
+
 if __name__ == "__main__":
+    for sig in (signal.SIGINT, signal.SIGTERM):
+        signal.signal(sig, _interrupt)
     args = sys.argv[1:]
     as_matrix = args[:1] == ["--matrix"]
     names = args[1:] if as_matrix else args
@@ -585,8 +648,11 @@ if __name__ == "__main__":
     if unknown:
         sys.exit(f"unknown mutants: {sorted(unknown)}")
     chosen = [m for m in MUTANTS if not names or m.name in names]
-    if as_matrix:
-        json.dump(matrix(chosen), sys.stdout, indent=1)
-        print()
-    else:
-        sys.exit(0 if check(chosen) else 1)
+    try:
+        if as_matrix:
+            json.dump(matrix(chosen), sys.stdout, indent=1)
+            print()
+        else:
+            sys.exit(0 if check(chosen) else 1)
+    except _Interrupted as exc:
+        sys.exit(128 + exc.args[0])

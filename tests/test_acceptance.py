@@ -59,7 +59,7 @@ def test_01_chamber_scan_modes(capsys):
 
 
 def test_02_pell_identities(capsys):
-    for n in range(2, 101):
+    for n in range(2, 201):
         t = 4 * n - 3
         assert fundamental_solution(t * (n - 1)) == (8 * n - 7, 4)
     for n in range(3, 51):
@@ -71,7 +71,7 @@ def test_02_pell_identities(capsys):
             m = (n - 1) * x * x + 1
             assert m % t != 0 or not isqrt(m // t)[1]
     with capsys.disabled():
-        _report(2, "fundamental (8n-7,4) for n in [2,100]; mixed minimum (2,1) for n in [3,50]")
+        _report(2, "fundamental (8n-7,4) for n in [2,200]; mixed minimum (2,1) for n in [3,50]")
 
 
 def test_03_middle_wall_everywhere(capsys):
@@ -173,9 +173,10 @@ def test_08_involution_action(capsys):
     # a*H_n + b*delta is (a, -b/(2t))
     for n in range(2, 101):
         t = 4 * n - 3
-        # H_n -> (2t-1)H_n - 4t*delta, delta -> 4(n-1)H_n - (8n-7)delta,
-        # and H_n - 2delta is fixed
+        # the boundary rays H_n and (2t-1)H_n - 4t*delta swap,
+        # delta -> 4(n-1)H_n - (8n-7)delta, and H_n - 2delta is fixed
         assert kernel.mirror(n, 1, 0) == (2 * t - 1, 2)
+        assert kernel.mirror(n, 2 * t - 1, 2) == (1, 0)
         delta = (0, Fraction(-1, 2 * t))
         assert kernel.mirror(n, *delta) == (4 * (n - 1), Fraction(8 * n - 7, 2 * t))
         assert kernel.mirror(n, 1, Fraction(1, t)) == (1, Fraction(1, t))
@@ -217,6 +218,7 @@ def test_10_sigma_invariants(capsys):
         _, _, w, u = mukai.standard_vectors(ctx)
         assert mukai_pairing(ctx, ns.kappa_vec, u) == 0
         assert mukai_pairing(ctx, ns.kappa_vec, w) == 0
+        assert ns.gram_det == -4 * (4 * n - 3) * (n - 3) // (ns.g * ns.g)
         assert cli_main(["sigma", "--n", str(n), "--format", "json"]) == 0
         if json.loads(capsys.readouterr().out)["positive_cone_rational"]:
             rational.append(n)
@@ -225,7 +227,11 @@ def test_10_sigma_invariants(capsys):
     assert v4.status is sigma.BirStatus.FINITE and v4.witness == (18, 5)
     assert sigma.bir_finiteness(7).status is sigma.BirStatus.FINITE
     for np_ in range(2, 67):
-        assert sigma.bir_finiteness(3 * np_).status is sigma.BirStatus.INFINITE
+        # 3 | n: a prime = 3 (mod 4) divides the Pell D, so x^2 - D y^2 = -1 fails
+        verdict = sigma.bir_finiteness(3 * np_)
+        assert verdict.status is sigma.BirStatus.INFINITE
+        assert verdict.obstruction is not None and verdict.obstruction % 4 == 3
+        assert verdict.pell_d % verdict.obstruction == 0
     with capsys.disabled():
         _report(10, "kappa lattice data for n in [4,600]; rational rays only at n=7; Bir verdicts")
 

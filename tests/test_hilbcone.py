@@ -24,16 +24,6 @@ def test_bb_form_examples():
         assert bb_form(n, h, delta) == 0
 
 
-def test_movable_rays():
-    # the boundary rays H_n and (2t-1)H_n - 4t*delta are (1, 0) and (2t-1, 2)
-    assert kernel.mirror(3, 1, 0) == (17, 2)
-    assert kernel.mirror(4, 1, 0) == (25, 2)
-    for n in (2, 5, 30):
-        t = 4 * n - 3
-        assert kernel.mirror(n, 1, 0) == (2 * t - 1, 2)
-        assert kernel.mirror(n, 2 * t - 1, 2) == (1, 0)
-
-
 def test_cattaneo_cases_examples():
     assert list(case_pairs(3, False)) == [(-1, 1), (-1, 2)]
     cases5 = list(case_pairs(5, False))
@@ -166,22 +156,6 @@ def test_walls_verify_reports_a_mirror_that_breaks_stability(monkeypatch, capsys
     assert captured.err == "verify: FAIL involution stability\n"
 
 
-def test_enumerate_walls_small_n():
-    # exhaustive search: (-1, 2) is locally impossible, so n = 3 has only
-    # the middle wall
-    walls = enumerate_walls(3)
-    assert [(w.rho, w.alpha, w.X, w.Y) for w in walls] == [(-1, 1, 9, 1)]
-    walls = enumerate_walls(2)
-    assert [(w.X, w.Y) for w in walls] == [(5, 1)]
-
-
-def test_chamber_count_examples():
-    for n in (3, 47, 200):
-        for full in (True, False):
-            (row,) = scan_rows(n, n, full)
-            assert row.c_n == 1, (n, full)
-
-
 def test_scan_chambers_range_and_validation():
     assert [(r.n, r.c_n) for r in scan_rows(2, 3, full_congruence=False)] == [
         (2, 1),
@@ -223,15 +197,6 @@ def test_each_wall_built_once(monkeypatch):
         assert enumerate_walls(n, False) == [middle_wall(n)], n
     top = 10**6
     assert scan_rows(top - 2, top, False) == [(n, 1, ()) for n in range(top - 2, top + 1)]
-
-
-def test_scan_rows_agreement():
-    for full in (True, False):
-        rows = scan_rows(2, 60, full)
-        assert [r.n for r in rows] == list(range(2, 61))
-        for r in rows:
-            assert r.c_n == 1, (r.n, full)
-            assert r.below_middle == (), (r.n, full)
 
 
 def inject_full_only_witness(monkeypatch):

@@ -57,25 +57,6 @@ def test_isqrt_random():
         assert exact == (r * r == m)
 
 
-def test_fundamental_paper_values():
-    # t(n-1) for n = 3 and n = 4; the family minimum is (8n-7, 4)
-    assert fundamental_solution(18) == (17, 4)
-    assert fundamental_solution(39) == (25, 4)
-
-
-def test_fundamental_derived_value():
-    # frozen from the brute-force oracle below (x <= 1000 scan region)
-    expected = brute_pell_min(13, 1, 200)
-    assert expected == (649, 180)
-    assert fundamental_solution(13) == expected
-
-
-def test_fundamental_family_formula():
-    for n in range(2, 201):
-        t = 4 * n - 3
-        assert fundamental_solution(t * (n - 1)) == (8 * n - 7, 4)
-
-
 def test_fundamental_agrees_with_brute_force():
     # solutions with x <= 1e5 correspond to y <= sqrt((1e10 - 1)/D)
     for d in range(2, 501):
@@ -313,13 +294,6 @@ def test_minimal_solution_stops_past_the_period_limit(monkeypatch):
         minimal_solution_mixed(61, 1)
 
 
-def test_mixed_examples():
-    # (n-1)x^2 - t y^2 = -1 for n = 3, 4 has minimum (2, 1)
-    assert minimal_solution_mixed(2, 9) == (2, 1)
-    assert minimal_solution_mixed(3, 13) == (2, 1)
-    assert minimal_solution_mixed(1, 2) == (1, 1)
-
-
 def test_mixed_minimality_brute():
     rng = random.Random(2)
     for _ in range(200):
@@ -348,6 +322,8 @@ def test_mixed_minimality_brute():
         (2, 107, (416941, 57003)),
         # pq = 16 is a square: 2(x - 2y)(x + 2y) = -1
         (2, 8, None),
+        # p = 1: x^2 - 2y^2 = -1, solved at x = y = 1
+        (1, 2, (1, 1)),
     ],
 )
 def test_mixed_pinned_pairs(p, q, expected):
